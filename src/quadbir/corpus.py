@@ -142,6 +142,9 @@ class _Ctx:
     def __init__(self, budget: StepBudget, seed: int):
         self.budget = budget
         self.seed = seed
+        # runners append here, so checks that finished survive a later
+        # budget exhaustion
+        self.checks: list[CheckResult] = []
 
     @property
     def heavy_allowed(self) -> bool:
@@ -224,10 +227,10 @@ def _map_from_files(base: str, image: str) -> tuple[RationalMap, Ideal]:
 # ---------------------------------------------------------------------------
 # runners
 
-def _run_quadric_slices(ctx: _Ctx) -> list[CheckResult]:
+def _run_quadric_slices(ctx: _Ctx) -> None:
     """Smooth quadric in a hyperplane: the conic case is run symbolically,
     the surface and threefold slices numerically."""
-    checks: list[CheckResult] = []
+    checks = ctx.checks
     P3 = Ring(["x0", "x1", "x2", "x3"])
     x = P3.gens()
     I = Ideal(P3, [x[0] * x[2] - x[1] * x[1], x[3]])
@@ -249,11 +252,10 @@ def _run_quadric_slices(ctx: _Ctx) -> list[CheckResult]:
         checks.append(_eq("type", (2, 1), map_type(F, G, ctx.seed)))
     for key in [(1, 3, 1, 2, 0, 1, 2), (2, 4, 1, 2, 0, 1, 2), (3, 5, 1, 2, 0, 1, 2)]:
         checks += _row_checks(key)
-    return checks
 
 
-def _run_elliptic_quintic(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_elliptic_quintic(ctx: _Ctx) -> None:
+    checks = ctx.checks
     I = elliptic_quintic_pfaffian()
     hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
     checks.append(
@@ -277,13 +279,12 @@ def _run_elliptic_quintic(ctx: _Ctx) -> list[CheckResult]:
     checks.append(
         _heavy(ctx, "secant_quintic_hypersurface", "two-copy elimination", secant_check)
     )
-    return checks
 
 
-def _run_severi_slices(ctx: _Ctx) -> list[CheckResult]:
+def _run_severi_slices(ctx: _Ctx) -> None:
     """Hyperplane slice of the Veronese involution: quartic curve case run
     symbolically, the surface and threefold relatives numerically."""
-    checks: list[CheckResult] = []
+    checks = ctx.checks
     I = rational_normal_curve(4)
     hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
     checks.append(
@@ -301,13 +302,12 @@ def _run_severi_slices(ctx: _Ctx) -> list[CheckResult]:
         checks.append(_eq("type", (2, 2), map_type(F, G, ctx.seed)))
     for key in [(1, 4, 1, 4, 0, 2, 2), (2, 5, 0, 4, 0, 2, 1), (3, 7, 1, 6, 1, 2, 2)]:
         checks += _row_checks(key)
-    return checks
 
 
-def _run_quartic_curve(ctx: _Ctx) -> list[CheckResult]:
+def _run_quartic_curve(ctx: _Ctx) -> None:
     """The quartic-curve transformation whose image is singular exactly
     along the inverse base locus (the regularity hypothesis fails)."""
-    checks: list[CheckResult] = []
+    checks = ctx.checks
     X = _load("quartic_curve_base.ideal")
     comp = _load("quartic_curve_map.ideal")
     S_disp = _load("quartic_curve_image.ideal")
@@ -413,11 +413,10 @@ def _run_quartic_curve(ctx: _Ctx) -> list[CheckResult]:
             "two apparent double points versus secant degree one",
         )
     )
-    return checks
 
 
-def _run_segre_line_plane(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_segre_line_plane(ctx: _Ctx) -> None:
+    checks = ctx.checks
     I = in_hyperplane(segre(1, 2))
     hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
     checks.append(_eq("base_locus_dim_deg", (3, 3), (hd.dim_proj, hd.degree)))
@@ -433,21 +432,19 @@ def _run_segre_line_plane(ctx: _Ctx) -> list[CheckResult]:
     checks += _row_checks((3, 6, 3, 3, 0, 1, 5))
     checks += _row_checks((2, 5, 3, 3, 0, 1, 5))
     checks += _row_checks((1, 4, 3, 3, 0, 1, 5))
-    return checks
 
 
-def _run_octic_cremona(ctx: _Ctx) -> list[CheckResult]:
-    checks = _row_checks((2, 6, 0, 8, 3, 4, 1))
-    checks += _row_checks((2, 6, 0, 7, 1, 4, 1))
-    return checks
+def _run_octic_cremona(ctx: _Ctx) -> None:
+    ctx.checks += _row_checks((2, 6, 0, 8, 3, 4, 1))
+    ctx.checks += _row_checks((2, 6, 0, 7, 1, 4, 1))
 
 
-def _run_septic_section(ctx: _Ctx) -> list[CheckResult]:
-    return _row_checks((2, 6, 1, 7, 2, 3, 2))
+def _run_septic_section(ctx: _Ctx) -> None:
+    ctx.checks += _row_checks((2, 6, 1, 7, 2, 3, 2))
 
 
-def _run_del_pezzo_sextic(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_del_pezzo_sextic(ctx: _Ctx) -> None:
+    checks = ctx.checks
     cube = segre_product((1, 1, 1))
     I = hyperplane_slice(cube, [1, 0, 0, 1, 0, 1, 0, 1])
     hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
@@ -465,11 +462,10 @@ def _run_del_pezzo_sextic(ctx: _Ctx) -> list[CheckResult]:
     hk = hilbert_data(K, budget=ctx.budget, assume_saturated=True)
     checks.append(_eq("image_dim_deg", (6, 4), (hk.dim_proj, hk.degree)))
     checks += _row_checks((2, 6, 2, 6, 1, 2, 4))
-    return checks
 
 
-def _run_quintic_scrolls(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_quintic_scrolls(ctx: _Ctx) -> None:
+    checks = ctx.checks
     I = scroll((1, 4))
     hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
     checks.append(
@@ -486,11 +482,10 @@ def _run_quintic_scrolls(ctx: _Ctx) -> list[CheckResult]:
         _eq("image_dim_deg", (6, 5), (hk.dim_proj, hk.degree), "line-Grassmannian image")
     )
     checks += _row_checks((2, 6, 3, 5, 0, 2, 5))
-    return checks
 
 
-def _run_grassmannian_to_spinor(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_grassmannian_to_spinor(ctx: _Ctx) -> None:
+    checks = ctx.checks
     I = in_hyperplane(grassmannian_plucker(1, 4))
     hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
     checks.append(_eq("base_locus_dim_deg", (6, 5), (hd.dim_proj, hd.degree)))
@@ -507,11 +502,10 @@ def _run_grassmannian_to_spinor(ctx: _Ctx) -> list[CheckResult]:
     )
     checks += _row_checks((2, 6, 5, 5, 1, 1, 12))
     checks += _row_checks((3, 7, 5, 5, 1, 1, 12))
-    return checks
 
 
-def _run_line_space_segre(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_line_space_segre(ctx: _Ctx) -> None:
+    checks = ctx.checks
     I = in_hyperplane(segre(1, 3))
     hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
     checks.append(_eq("base_locus_dim_deg", (4, 4), (hd.dim_proj, hd.degree)))
@@ -524,19 +518,18 @@ def _run_line_space_segre(ctx: _Ctx) -> list[CheckResult]:
     )
     checks += _row_checks((3, 7, 6, 4, 0, 1, 14))
     checks += _row_checks((2, 6, 6, 4, 0, 1, 14))
-    return checks
 
 
-def _run_projected_grassmannian(ctx: _Ctx) -> list[CheckResult]:
-    return _row_checks((3, 8, 0, 13, 8, 5, 1))
+def _run_projected_grassmannian(ctx: _Ctx) -> None:
+    ctx.checks += _row_checks((3, 8, 0, 13, 8, 5, 1))
 
 
-def _run_blown_up_quadric(ctx: _Ctx) -> list[CheckResult]:
-    return _row_checks((3, 8, 1, 11, 5, 3, 3))
+def _run_blown_up_quadric(ctx: _Ctx) -> None:
+    ctx.checks += _row_checks((3, 8, 1, 11, 5, 3, 3))
 
 
-def _run_ruled_scroll_eleven(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_ruled_scroll_eleven(ctx: _Ctx) -> None:
+    checks = ctx.checks
     prof, _ = segre_chern(3, 8, 11, 5, 4, 2)
     checks.append(
         _eq(
@@ -558,15 +551,14 @@ def _run_ruled_scroll_eleven(ctx: _Ctx) -> list[CheckResult]:
         )
     )
     checks += _row_checks((3, 8, 1, 11, 5, 4, 2))
-    return checks
 
 
-def _run_spinor_section(ctx: _Ctx) -> list[CheckResult]:
-    return _row_checks((3, 8, 1, 12, 7, 4, 2))
+def _run_spinor_section(ctx: _Ctx) -> None:
+    ctx.checks += _row_checks((3, 8, 1, 12, 7, 4, 2))
 
 
-def _run_quadric_scroll_ten(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_quadric_scroll_ten(ctx: _Ctx) -> None:
+    checks = ctx.checks
     prof, _ = segre_chern(3, 8, 10, 4, 3, 4)
     checks.append(_eq("segre_degrees", (-76, 340, -1156), prof.s))
     dd, _ = pushforward_degrees(3, 8, 10, list(prof.s))
@@ -580,11 +572,10 @@ def _run_quadric_scroll_ten(ctx: _Ctx) -> list[CheckResult]:
         )
     )
     checks += _row_checks((3, 8, 2, 10, 4, 3, 4))
-    return checks
 
 
-def _run_plane_scroll_nine(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_plane_scroll_nine(ctx: _Ctx) -> None:
+    checks = ctx.checks
     prof_s, _ = segre_chern(3, 8, 9, 3, 2, 8)
     checks.append(_eq("segre_degrees_scroll", (-67, 294, -984), prof_s.s))
     dd_s, _ = pushforward_degrees(3, 8, 9, list(prof_s.s))
@@ -595,12 +586,11 @@ def _run_plane_scroll_nine(ctx: _Ctx) -> list[CheckResult]:
     checks.append(_eq("degree_times_image_degree_fibration", 5, dd_q))
     checks += _row_checks((3, 8, 3, 9, 3, 2, 8))
     checks += _row_checks((3, 8, 3, 9, 3, 3, 5))
-    return checks
 
 
-def _run_line_times_quadric(ctx: _Ctx) -> list[CheckResult]:
+def _run_line_times_quadric(ctx: _Ctx) -> None:
     """The explicit thirteen-quadric threefold in P^8: full pipeline."""
-    checks: list[CheckResult] = []
+    checks = ctx.checks
     X = _load("line_times_quadric_base.ideal")
     S_disp = _load("line_times_quadric_image.ideal")
     inv = _load("line_times_quadric_inverse.ideal")
@@ -647,13 +637,12 @@ def _run_line_times_quadric(ctx: _Ctx) -> list[CheckResult]:
         _heavy(ctx, "image_singular_dim", "codimension-4 minor scheme in P^12", sing_dim)
     )
     checks += _row_checks((3, 8, 4, 8, 2, 2, 10))
-    return checks
 
 
-def _run_del_pezzo_seven(ctx: _Ctx) -> list[CheckResult]:
+def _run_del_pezzo_seven(ctx: _Ctx) -> None:
     """Degree-seven del Pezzo threefold: birational image of degree 19 with
     a non-liftable inverse."""
-    checks: list[CheckResult] = []
+    checks = ctx.checks
     X = _load("del_pezzo_seven_base.ideal")
     S_disp = _load("del_pezzo_seven_image.ideal")
     inv = _load("del_pezzo_seven_inverse.ideal")
@@ -711,11 +700,10 @@ def _run_del_pezzo_seven(ctx: _Ctx) -> list[CheckResult]:
     checks.append(
         _heavy(ctx, "image_singular_dim", "codimension-5 minor scheme in P^13", sing_bound)
     )
-    return checks
 
 
-def _run_sextic_scrolls(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_sextic_scrolls(ctx: _Ctx) -> None:
+    checks = ctx.checks
     I = scroll((2, 2, 2))
     hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
     checks.append(
@@ -729,11 +717,10 @@ def _run_sextic_scrolls(ctx: _Ctx) -> list[CheckResult]:
         _eq("image_quadric_count", 15, len(quads), "line-Grassmannian of P^5")
     )
     checks += _row_checks((3, 8, 6, 6, 0, 2, 14))
-    return checks
 
 
-def _run_octic_plane_bundle(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_octic_plane_bundle(ctx: _Ctx) -> None:
+    checks = ctx.checks
     s = normal_segre_from_chern(3, 8, 8, (12, 15, 6))
     checks.append(
         _eq("segre_degrees", (-60, 267, -909), s, "recorded Chern degrees 12, 15, 6")
@@ -742,11 +729,10 @@ def _run_octic_plane_bundle(ctx: _Ctx) -> list[CheckResult]:
     checks.append(_eq("image_degree", 29, deg_delta))
     checks.append(_eq("inverse_degree", 1, d_delta // deg_delta))
     checks += _row_checks((3, 8, 7, 8, 3, 1, 29))
-    return checks
 
 
-def _run_edge_threefolds(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_edge_threefolds(ctx: _Ctx) -> None:
+    checks = ctx.checks
     s7 = normal_segre_from_chern(3, 8, 7, (12, 14, 4))
     d7, dd7 = pushforward_degrees(3, 8, 7, list(s7))
     checks.append(_eq("image_degree_septic_case", 33, d7))
@@ -763,11 +749,10 @@ def _run_edge_threefolds(ctx: _Ctx) -> list[CheckResult]:
             provenance="bound check only; the minor schemes exceed the desk scale",
         )
     )
-    return checks
 
 
-def _run_quintic_scroll_oadp(ctx: _Ctx) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_quintic_scroll_oadp(ctx: _Ctx) -> None:
+    checks = ctx.checks
     s = normal_segre_from_chern(3, 8, 5, (12, 11, 6))
     deg_delta, d_delta = pushforward_degrees(3, 8, 5, list(s))
     checks.append(_eq("image_degree", 42, deg_delta))
@@ -788,7 +773,6 @@ def _run_quintic_scroll_oadp(ctx: _Ctx) -> list[CheckResult]:
         _heavy(ctx, "image_quadric_count", "large exact kernel", kernel_check)
     )
     checks += _row_checks((3, 8, 10, 5, 0, 1, 42))
-    return checks
 
 
 @dataclass(frozen=True)
@@ -796,7 +780,7 @@ class ExampleSpec:
     name: str
     description: str
     feasibility: str
-    runner: Callable[[_Ctx], list[CheckResult]]
+    runner: Callable[[_Ctx], None]  # appends its checks to ctx.checks
     note: str = ""
 
 
@@ -961,21 +945,21 @@ def verify_example(
     ctx = _Ctx(b, seed)
     start = time.time()
     try:
-        checks = spec.runner(ctx)
+        spec.runner(ctx)
     except (BudgetExceeded, HeavyComputation, SaturationUncertified) as e:
-        checks = [
+        ctx.checks.append(
             CheckResult(
                 "pipeline",
                 SKIPPED_HEAVY,
                 expected=str(e),
                 provenance="budget exhausted mid-pipeline",
             )
-        ]
+        )
     return VerificationReport(
         example=name,
         description=spec.description,
         feasibility=spec.feasibility,
-        checks=checks,
+        checks=ctx.checks,
         wall_time_s=time.time() - start,
     )
 

@@ -224,7 +224,7 @@ def _coprime(a, b) -> bool:
 
 
 def _buchberger_entries(
-    polys: Sequence[dict], kc: _KeyCache, budget: StepBudget
+    polys: Iterable[dict], kc: _KeyCache, budget: StepBudget
 ) -> list[_Entry]:
     """Gebauer-Moeller installation of Buchberger's algorithm."""
     entries: list[_Entry] = []
@@ -459,11 +459,10 @@ def buchberger(
     b = _budget(budget)
     kc = _KeyCache(order.key())
     keyf = kc.fn
-    ints = sorted(
-        (_to_int_terms(g) for g in gens),
-        key=lambda t: keyf(max(t, key=keyf)),
-    )
-    G = _buchberger_entries(ints, kc, b)
+    # stable sort by leading key; each input is converted to integer terms
+    # only when the loop reaches it, so no second copy of the inputs exists
+    ordered = sorted(gens, key=lambda g: keyf(max(g.terms, key=keyf)))
+    G = _buchberger_entries(map(_to_int_terms, ordered), kc, b)
     reduced = _reduced_basis(G, kc, b)
     return tuple(_from_int_terms(ring, t) for t in reduced)
 
@@ -602,31 +601,18 @@ def _poly_as_variable(f: Poly) -> int | None:
     return e.index(1)
 
 
-def _permute_poly(p: Poly, perm: Sequence[int], target: Ring) -> Poly:
-    return Poly(target, {tuple(e[i] for i in perm): c for e, c in p.terms.items()})
-
-
 def _saturate_by_variable(I: Ideal, var: int, budget: StepBudget) -> Ideal:
-    """(I : x^inf) for homogeneous I: divide a reverse-lex basis by the last
-    variable, after permuting the ring so that x sits last."""
-    ring = I.ring
-    n = ring.nvars
-    perm = [i for i in range(n) if i != var] + [var]
-    inv = [0] * n
-    for pos, i in enumerate(perm):
-        inv[i] = pos
-    pring = Ring(tuple(ring.variables[i] for i in perm))
-    gens = [_permute_poly(g, perm, pring) for g in I.generators]
-    gb = buchberger(gens, DEGREVLEX, budget)
+    """(I : x^inf) for homogeneous I (Bayer-Stillman): divide each element of
+    a degrevlex basis that ranks x last by its largest power of x."""
+    gb = buchberger(I, MonomialOrder.degrevlex(last=var), budget)
     divided = []
     for g in gb:
-        k = min(e[-1] for e in g.terms)
+        k = min(e[var] for e in g.terms)
         if k:
-            terms = {e[:-1] + (e[-1] - k,): c for e, c in g.terms.items()}
-            g = Poly(pring, terms)
+            terms = {e[:var] + (e[var] - k,) + e[var + 1 :]: c for e, c in g.terms.items()}
+            g = Poly(I.ring, terms)
         divided.append(g)
-    back = [_permute_poly(g, inv, ring) for g in divided]
-    return Ideal(ring, back)
+    return Ideal(I.ring, divided)
 
 
 def saturate_irrelevant(
@@ -758,10 +744,7 @@ def hf_vanishes(
     kc = _KeyCache(DEGREVLEX.key())
     keyf = kc.fn
     nvars = I.ring.nvars
-    ints = sorted(
-        (_to_int_terms(g) for g in I.generators),
-        key=lambda t: keyf(max(t, key=keyf)),
-    )
+    ordered = sorted(I.generators, key=lambda g: keyf(max(g.terms, key=keyf)))
 
     leads: list[tuple] = []
 
@@ -820,7 +803,7 @@ def hf_vanishes(
         G = [g for g in G if not mono_divides(h.lm, g.lm)]
         G.append(h)
 
-    for terms in ints:
+    for terms in map(_to_int_terms, ordered):
         b.tick()
         red = _reduce_int(terms, G, kc, b)
         if red:

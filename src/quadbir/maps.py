@@ -193,21 +193,41 @@ def jacobian(polys: Sequence[Poly], ring: Ring) -> list[list[Poly]]:
     return [[g.diff(v) for v in ring.variables] for g in polys]
 
 
-def _minor(mat, rows, cols, ring: Ring) -> Poly:
-    if len(rows) == 1:
-        return mat[rows[0]][cols[0]]
-    total = ring.zero()
-    r0, rest = rows[0], rows[1:]
-    for k, c in enumerate(cols):
-        e = mat[r0][c]
-        if not e:
-            continue
-        sub = _minor(mat, rest, cols[:k] + cols[k + 1 :], ring)
-        if not sub:
-            continue
-        t = e * sub
-        total = total + t if k % 2 == 0 else total - t
-    return total
+def nonzero_minors(mat: Sequence[Sequence[Poly]], k: int, ring: Ring):
+    """Yield the nonzero k x k minors of a polynomial matrix, row sets in
+    lexicographic order and, within each, column sets likewise.
+
+    Each minor is the cofactor expansion along its first row.  Sub-minors
+    recur across the column sets of one row set, so they are memoized; the
+    memo is dropped when the row set changes, which bounds its size.
+    """
+    for rows in itertools.combinations(range(len(mat)), k):
+        memo: dict[tuple, Poly] = {}  # cols -> minor on rows[k - len(cols):]
+
+        def minor(i: int, cols: tuple) -> Poly:
+            """The minor on rows[i:] and cols."""
+            if i == k - 1:
+                return mat[rows[i]][cols[0]]
+            if cols in memo:
+                return memo[cols]
+            total = ring.zero()
+            for j, c in enumerate(cols):
+                e = mat[rows[i]][c]
+                if not e:
+                    continue
+                sub = minor(i + 1, cols[:j] + cols[j + 1 :])
+                if not sub:
+                    continue
+                t = e * sub
+                total = total + t if j % 2 == 0 else total - t
+            if i:
+                memo[cols] = total
+            return total
+
+        for cols in itertools.combinations(range(len(mat[0])), k):
+            d = minor(0, cols)
+            if d:
+                yield d
 
 
 def minor_ideal(
@@ -215,21 +235,13 @@ def minor_ideal(
 ) -> Ideal:
     """I plus all codim x codim minors of the Jacobian of its generators."""
     ring = I.ring
-    m = len(I.generators)
-    n = ring.nvars
-    count = _comb(m, codim) * _comb(n, codim)
+    count = _comb(len(I.generators), codim) * _comb(ring.nvars, codim)
     if count > cap:
         raise HeavyComputation(
             f"{count} Jacobian minors exceed the cap of {cap}"
         )
-    jac = jacobian(I.generators, ring)
-    minors = []
-    for rows in itertools.combinations(range(m), codim):
-        for cols in itertools.combinations(range(n), codim):
-            d = _minor(jac, list(rows), list(cols), ring)
-            if d:
-                minors.append(d)
-    return Ideal(ring, list(I.generators) + minors)
+    minors = nonzero_minors(jacobian(I.generators, ring), codim, ring)
+    return Ideal(ring, itertools.chain(I.generators, minors))
 
 
 def _comb(n: int, k: int) -> int:
@@ -294,14 +306,8 @@ def smooth_certificate(
             raise HeavyComputation(
                 f"chart {ring.variables[var]}: {nminors} minors after simplification"
             )
-        jac = jacobian(sg, sring)
-        minors = []
-        for rows in itertools.combinations(range(len(sg)), cprime):
-            for cols in itertools.combinations(range(sring.nvars), cprime):
-                d = _minor(jac, list(rows), list(cols), sring)
-                if d:
-                    minors.append(d)
-        if not contains_one(Ideal(sring, list(sg) + minors), b):
+        minors = nonzero_minors(jacobian(sg, sring), cprime, sring)
+        if not contains_one(Ideal(sring, itertools.chain(sg, minors)), b):
             return False
     return True
 

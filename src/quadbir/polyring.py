@@ -61,25 +61,34 @@ class MonomialOrder:
     block(k) is the elimination order for the first k variables: any
     monomial involving one of them beats any monomial that does not, with
     degrevlex ties inside each block.
+
+    degrevlex(last=v) is the variable-last form: degrevlex with variable v
+    ranked last, i.e. the plain degrevlex of the exponent vector with entry
+    v moved to the end.  Its key is exactly that permuted `_drl_key`, so a
+    computation under it matches, step for step, the same computation in a
+    ring whose variables were permuted to put v last.
     """
 
-    __slots__ = ("kind", "block")
+    __slots__ = ("kind", "block", "last")
 
-    def __init__(self, kind: str, block: int = 0):
+    def __init__(self, kind: str, block: int = 0, last: int | None = None):
         if kind not in ("lex", "degrevlex", "block"):
             raise ValueError(f"unknown monomial order {kind!r}")
         if kind == "block" and block <= 0:
             raise ValueError("block order needs a positive block size")
+        if last is not None and (kind != "degrevlex" or last < 0):
+            raise ValueError("only degrevlex takes a last variable")
         self.kind = kind
         self.block = block if kind == "block" else 0
+        self.last = last
 
     @staticmethod
     def lex() -> "MonomialOrder":
         return MonomialOrder("lex")
 
     @staticmethod
-    def degrevlex() -> "MonomialOrder":
-        return MonomialOrder("degrevlex")
+    def degrevlex(last: int | None = None) -> "MonomialOrder":
+        return MonomialOrder("degrevlex", last=last)
 
     @staticmethod
     def elimination(k: int) -> "MonomialOrder":
@@ -90,7 +99,10 @@ class MonomialOrder:
         if self.kind == "lex":
             return lambda e: e
         if self.kind == "degrevlex":
-            return _drl_key
+            v = self.last
+            if v is None:
+                return _drl_key
+            return lambda e: _drl_key(e[:v] + e[v + 1 :] + e[v : v + 1])
         k = self.block
         return lambda e: (_drl_key(e[:k]), _drl_key(e[k:]))
 
@@ -101,6 +113,8 @@ class MonomialOrder:
     def __repr__(self):
         if self.kind == "block":
             return f"MonomialOrder(block={self.block})"
+        if self.last is not None:
+            return f"MonomialOrder({self.kind}, last={self.last})"
         return f"MonomialOrder({self.kind})"
 
     def __eq__(self, other):
@@ -108,10 +122,11 @@ class MonomialOrder:
             isinstance(other, MonomialOrder)
             and self.kind == other.kind
             and self.block == other.block
+            and self.last == other.last
         )
 
     def __hash__(self):
-        return hash((self.kind, self.block))
+        return hash((self.kind, self.block, self.last))
 
 
 def _drl_key(e: Exponent) -> tuple:

@@ -21,26 +21,58 @@ _orig_hilbert_data = hilbert.hilbert_data
 _stats = {"gb_checked": 0, "spolys": 0, "hilbert_checked": 0}
 
 
-def _checked_buchberger(ideal, order=DEGREVLEX, budget=None):
-    gb = _orig_buchberger(ideal, order, budget)
+def verify_basis(ideal, order, gb) -> int:
+    """Assert that gb is a Groebner basis of the ideal under the order: every
+    S-polynomial and every input generator reduces to zero.  Returns the
+    number of S-polynomials checked."""
     if not gb:
-        return gb
+        return 0
     kc = _KeyCache(order.key())
     check_budget = StepBudget(None)
     entries = [_Entry(_to_int_terms(g), kc, i) for i, g in enumerate(gb)]
+    spolys = 0
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             s = _spoly_int(entries[i], entries[j])
             assert not _reduce_int(s, entries, kc, check_budget), (
                 f"S-polynomial of basis elements {i}, {j} does not reduce to zero"
             )
-            _stats["spolys"] += 1
+            spolys += 1
     gens = ideal.generators if isinstance(ideal, Ideal) else [g for g in ideal if g]
     for g in gens:
         assert not _reduce_int(_to_int_terms(g), entries, kc, check_budget), (
             "input generator does not reduce to zero against the basis"
         )
-    _stats["gb_checked"] += 1
+    return spolys
+
+
+def verify_hilbert(I, order, hd) -> None:
+    """Assert that the Hilbert data matches brute-force standard-monomial
+    counts out to the regularity witness plus three."""
+    if I.is_zero() or hd.dim_proj < 0:
+        return
+    gb = I.groebner(order)
+    leads = [g.lead_monomial(order) for g in gb]
+    mins = []
+    for m in sorted(leads, key=mono_deg):
+        if not any(mono_divides(h, m) for h in mins):
+            mins.append(m)
+    upto = hd.regularity_witness + 3
+    series = hd.hilbert_function(upto)
+    for m in range(upto + 1):
+        brute = standard_monomial_count(mins, I.ring.nvars, m)
+        assert series[m] == brute, f"Hilbert function mismatch in degree {m}"
+        if m >= hd.regularity_witness:
+            assert hd.hp_value(m) == brute, (
+                f"Hilbert polynomial disagrees with the Hilbert function at {m}"
+            )
+
+
+def _checked_buchberger(ideal, order=DEGREVLEX, budget=None):
+    gb = _orig_buchberger(ideal, order, budget)
+    if gb:
+        _stats["spolys"] += verify_basis(ideal, order, gb)
+        _stats["gb_checked"] += 1
     return gb
 
 
@@ -48,22 +80,7 @@ def _checked_hilbert_data(I, order=DEGREVLEX, assume_saturated=False, budget=Non
     hd = _orig_hilbert_data(
         I, order=order, assume_saturated=assume_saturated, budget=budget, seed=seed
     )
-    if not I.is_zero() and hd.dim_proj >= 0:
-        gb = I.groebner(order)
-        leads = [g.lead_monomial(order) for g in gb]
-        mins = []
-        for m in sorted(leads, key=mono_deg):
-            if not any(mono_divides(h, m) for h in mins):
-                mins.append(m)
-        upto = hd.regularity_witness + 3
-        series = hd.hilbert_function(upto)
-        for m in range(upto + 1):
-            brute = standard_monomial_count(mins, I.ring.nvars, m)
-            assert series[m] == brute, f"Hilbert function mismatch in degree {m}"
-            if m >= hd.regularity_witness:
-                assert hd.hp_value(m) == brute, (
-                    f"Hilbert polynomial disagrees with the Hilbert function at {m}"
-                )
+    verify_hilbert(I, order, hd)
     _stats["hilbert_checked"] += 1
     return hd
 

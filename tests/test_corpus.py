@@ -101,3 +101,16 @@ def test_budget_downgrades_but_never_passes():
         c.status == SKIPPED_HEAVY for c in report.checks
     )
     assert any(c.status == SKIPPED_HEAVY for c in report.checks)
+
+
+def test_budget_exhaustion_keeps_finished_checks():
+    # a budget that runs out partway through: the checks that finished
+    # before it ran out survive, followed by one pipeline entry
+    full = verify_example("line_times_quadric_section")
+    starved = verify_example("line_times_quadric_section", budget=5000)
+    *finished, last = starved.checks
+    assert len(finished) >= 3
+    assert last.name == "pipeline" and last.status == SKIPPED_HEAVY
+    assert "5001 steps" in last.expected
+    assert finished == full.checks[: len(finished)]
+    assert all(c.status == PASS for c in finished)

@@ -18,7 +18,7 @@ from quadbir.groebner import (
     saturate,
     saturate_irrelevant,
 )
-from quadbir.polyring import DEGREVLEX, LEX, Ring
+from quadbir.polyring import DEGREVLEX, LEX, MonomialOrder, Ring, _drl_key
 
 
 @pytest.fixture
@@ -190,3 +190,48 @@ def test_projective_emptiness():
     assert not is_empty_projective(Ideal(ring, [x, y]))
     assert hf_vanishes(Ideal(ring, [x, y, z])) is not None
     assert hf_vanishes(Ideal(ring, [x, y]), max_degree=8) is None
+
+
+def _saturate_by_quotients(I, x):
+    """(I : x^inf) by iterated ideal quotients until the chain stabilizes."""
+    current = I
+    while True:
+        J = ideal_quotient(current, x)
+        if all(membership(g, current) for g in J.generators):
+            return current
+        current = J
+
+
+def _saturation_cases():
+    P3 = Ring(["x0", "x1", "x2", "x3"])
+    cubic = [P3.parse(t) for t in ("x1^2 - x0*x2", "x1*x2 - x0*x3", "x2^2 - x1*x3")]
+    P2 = Ring(["x", "y", "z"])
+    return {
+        "twisted_cubic": Ideal(P3, cubic),
+        # the twisted cubic times the irrelevant ideal: not saturated
+        "twisted_cubic_times_m": Ideal(P3, [g * v for g in cubic for v in P3.gens()]),
+        "plane_and_line": Ideal(P2, [P2.parse("x*y"), P2.parse("x*z")]),
+        "embedded_point": Ideal(P2, [P2.parse("x^2*y"), P2.parse("x*y^2 - y*z^2")]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_saturation_cases()))
+def test_saturation_by_variable_matches_quotient_oracle(name):
+    I = _saturation_cases()[name]
+    for x in I.ring.gens():
+        fast = saturate(I, x)
+        slow = _saturate_by_quotients(I, x)
+        assert ideal_equal(fast, slow)
+        assert buchberger(fast) == buchberger(slow)
+
+
+def test_variable_last_key_is_permuted_degrevlex_key():
+    n = 4
+    monomials = [
+        e for e in itertools.product(range(4), repeat=n) if sum(e) <= 3
+    ]
+    for v in range(n):
+        perm = [i for i in range(n) if i != v] + [v]
+        key = MonomialOrder.degrevlex(last=v).key()
+        for e in monomials:
+            assert key(e) == _drl_key(tuple(e[i] for i in perm))

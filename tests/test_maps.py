@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -13,8 +14,10 @@ from quadbir.maps import (
     forward_annihilation,
     image_forms,
     image_ideal,
+    jacobian,
     map_from_ideal,
     map_type,
+    nonzero_minors,
     secant_ideal,
     singular_locus,
     smooth_certificate,
@@ -240,3 +243,39 @@ def test_secant_of_elliptic_quintic_is_a_quintic_hypersurface():
     sec = secant_ideal(elliptic_quintic_pfaffian(), 400_000_000)
     assert len(sec.generators) == 1
     assert sec.generators[0].degree() == 5  # 2d - 1 with d = 3
+
+
+def _cofactor_minor(mat, rows, cols, ring):
+    """Memo-free cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return mat[rows[0]][cols[0]]
+    total = ring.zero()
+    for k, c in enumerate(cols):
+        e = mat[rows[0]][c]
+        if not e:
+            continue
+        sub = _cofactor_minor(mat, rows[1:], cols[:k] + cols[k + 1 :], ring)
+        if not sub:
+            continue
+        t = e * sub
+        total = total + t if k % 2 == 0 else total - t
+    return total
+
+
+@pytest.mark.parametrize(
+    "ideal, k",
+    [(rational_normal_curve(3), 2), (elliptic_quintic_pfaffian(), 3)],
+    ids=["twisted_cubic_2x2", "elliptic_quintic_3x3"],
+)
+def test_memoized_minors_match_cofactor_expansion(ideal, k):
+    ring = ideal.ring
+    jac = jacobian(ideal.generators, ring)
+    expected = []
+    for rows in itertools.combinations(range(len(jac)), k):
+        for cols in itertools.combinations(range(ring.nvars), k):
+            d = _cofactor_minor(jac, rows, cols, ring)
+            if d:
+                expected.append(list(d.terms.items()))
+    got = [list(d.terms.items()) for d in nonzero_minors(jac, k, ring)]
+    assert expected
+    assert got == expected
