@@ -4,7 +4,7 @@ Groebner bases, Hilbert polynomials, rational-map certificates) and a
 numeric invariant engine that re-derives the classification of
 transformations with low-dimensional base locus."""
 
-from .polyring import DEGREVLEX, LEX, MonomialOrder, Poly, Ring, poly_arith
+from .polyring import DEGREVLEX, LEX, MonomialOrder, Poly, Ring
 from .groebner import (
     BudgetExceeded,
     Ideal,

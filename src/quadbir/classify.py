@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .hilbert import poly_eval
 from .invariants import (
     Infeasible,
     QUADRIC_FIBRATION,
@@ -27,7 +28,6 @@ from .invariants import (
     castelnuovo_bound,
     coindex_delta,
     double_point,
-    eval_poly,
     hilbert_poly_r4,
     hp_relations,
     normal_segre_from_chern,
@@ -592,7 +592,7 @@ def enumerate_r4(
 
     def add(a, lam, g, chi, note=""):
         hp = hilbert_poly_r4(lam, g, chi, a)
-        assert eval_poly(hp, 1) == 11 and eval_poly(hp, 2) == 55 - a
+        assert poly_eval(hp, 1) == 11 and poly_eval(hp, 2) == 55 - a
         for label in (_R4_STRUCTURES.get((a, lam, g)) or [""]):
             rows.append(
                 CaseRow(

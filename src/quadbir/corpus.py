@@ -3,10 +3,12 @@
 Each entry packages a known quadratic birational transformation: its base
 locus (an explicit ideal file or a classical constructor), the recorded
 image/inverse equations where available, and the expected invariants tied
-to rows of the shipped classification table.  `verify_example` runs every
-check the entry's feasibility class allows and reports PASS / FAIL /
-SKIPPED_HEAVY per expectation; budget exhaustion downgrades a check to
-SKIPPED_HEAVY, never to PASS.
+to rows of the shipped classification table.  Every example is one row of
+the `CORPUS` table: its `steps` are check kinds built by the small
+factories below (`base`, `smooth`, `gap`, `quadrics`, ...), so each
+expectation sits in that one table.  `verify_example` runs the steps in
+order and reports PASS / FAIL / SKIPPED_HEAVY per expectation; budget
+exhaustion downgrades a check to SKIPPED_HEAVY, never to PASS.
 
 Feasibility classes: FULL (complete symbolic pipeline), FORWARD_ONLY
 (constructed base locus with image checks by linear algebra), NUMERIC_ONLY
@@ -20,6 +22,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .classify import CaseRow, check_row, load_table
@@ -32,12 +35,13 @@ from .groebner import (
     membership,
     saturate_irrelevant,
 )
-from .hilbert import graded_piece, hilbert_data
+from .hilbert import hilbert_data
 from .ideal_io import read_ideal
 from .invariants import (
+    double_point,
+    k2_thresholds,
     normal_segre_from_chern,
     pushforward_degrees,
-    k2_thresholds,
     segre_chern,
 )
 from .maps import (
@@ -50,11 +54,12 @@ from .maps import (
     image_ideal,
     map_from_ideal,
     map_type,
+    secant_ideal,
     singular_locus,
     smooth_certificate,
     solve_inverse,
 )
-from .polyring import Ring
+from .polyring import Poly, Ring
 from .varieties import (
     elliptic_quintic_pfaffian,
     grassmannian_plucker,
@@ -78,6 +83,8 @@ SKIPPED_HEAVY = "SKIPPED_HEAVY"
 HEAVY_BUDGET_THRESHOLD = 30_000_000
 
 _DATA = os.path.join(os.path.dirname(__file__), "data", "ideals")
+
+_UNDECIDED = (BudgetExceeded, HeavyComputation, SaturationUncertified)
 
 
 @dataclass
@@ -138,17 +145,92 @@ class VerificationReport:
         return out
 
 
+Step = Callable[["_Ctx"], None]
+
+
+@dataclass(frozen=True)
+class ExampleSpec:
+    """One corpus example as data.
+
+    `base` is a constructor of the base-locus ideal or the name of a shipped
+    ideal file.  `image`, `map` and `inverse` name files holding the
+    recorded image ideal, the recorded map components (default: the base
+    generators) and the recorded inverse components.  `steps` run in order;
+    each appends its checks to the context.
+    """
+
+    name: str
+    description: str
+    feasibility: str
+    steps: tuple[Step, ...]
+    base: Callable[[], Ideal] | str | None = None
+    image: str | None = None
+    map: str | None = None
+    inverse: str | None = None
+
+
 class _Ctx:
-    def __init__(self, budget: StepBudget, seed: int):
+    """One run of one example.  The ideals and maps below are built on
+    first use and shared by every step, so each Groebner basis is computed
+    once per run."""
+
+    def __init__(self, spec: ExampleSpec, budget: StepBudget, seed: int):
+        self.spec = spec
         self.budget = budget
         self.seed = seed
-        # runners append here, so checks that finished survive a later
+        # steps append here, so checks that finished survive a later
         # budget exhaustion
         self.checks: list[CheckResult] = []
+        # the inverse found by the `inverse` step, for the steps after it
+        self.solved_inverse: RationalMap | None = None
+        self._files: dict[str, Ideal] = {}
 
     @property
     def heavy_allowed(self) -> bool:
         return self.budget.limit is None or self.budget.limit >= HEAVY_BUDGET_THRESHOLD
+
+    def load(self, name: str) -> Ideal:
+        """A shipped ideal file, read once per run, so that a Groebner basis
+        computed on it by one step is reused by the later ones."""
+        if name not in self._files:
+            self._files[name] = read_ideal(os.path.join(_DATA, name))
+        return self._files[name]
+
+    @cached_property
+    def base(self) -> Ideal:
+        b = self.spec.base
+        return self.load(b) if isinstance(b, str) else b()
+
+    @cached_property
+    def quadric_map(self) -> RationalMap:
+        """The map given by all quadrics through the base locus."""
+        return map_from_ideal(self.base, self.budget)
+
+    @cached_property
+    def quadrics(self) -> list[Poly]:
+        """The quadrics vanishing on the image of the quadric map."""
+        return image_forms(self.quadric_map, 2, self.budget)
+
+    @cached_property
+    def map(self) -> RationalMap:
+        """The recorded map onto the recorded image, else the quadric map."""
+        if self.spec.image is None:
+            return self.quadric_map
+        comps = self.load(self.spec.map) if self.spec.map else self.base
+        return RationalMap(self.base.ring, self.image.ring, comps.generators)
+
+    @cached_property
+    def image(self) -> Ideal:
+        """The recorded image ideal, else the image of the map by elimination."""
+        if self.spec.image is None:
+            return image_ideal(self.map, self.budget)
+        return self.load(self.spec.image)
+
+    @cached_property
+    def inverse(self) -> RationalMap:
+        """The recorded inverse."""
+        comps = self.load(self.spec.inverse).generators
+        return RationalMap(self.image.ring, self.base.ring, comps)
 
 
 def _eq(name: str, expected, computed, provenance: str = "") -> CheckResult:
@@ -163,31 +245,25 @@ def _eq(name: str, expected, computed, provenance: str = "") -> CheckResult:
 
 
 def _true(name: str, value: bool, provenance: str = "") -> CheckResult:
-    return CheckResult(
-        name,
-        PASS if value else FAIL,
-        expected="True",
-        computed=repr(value),
-        provenance=provenance,
-    )
+    return _eq(name, True, value, provenance)
 
 
-def _heavy(
-    ctx: _Ctx, name: str, provenance: str, fn: Callable[[], CheckResult]
-) -> CheckResult:
-    if not ctx.heavy_allowed:
-        return CheckResult(
-            name,
-            SKIPPED_HEAVY,
-            expected="attempted only under an enlarged step budget",
-            provenance=provenance,
-        )
-    try:
-        return fn()
-    except (BudgetExceeded, HeavyComputation, SaturationUncertified) as e:
-        return CheckResult(
-            name, SKIPPED_HEAVY, expected=str(e), provenance=provenance
-        )
+def _heavy(name: str, provenance: str, check: Callable[[_Ctx], CheckResult]) -> Step:
+    """A step attempted only under an enlarged budget; running out of budget
+    or over a size cap reports it as SKIPPED_HEAVY."""
+
+    def step(ctx: _Ctx) -> None:
+        if not ctx.heavy_allowed:
+            result = CheckResult(name, SKIPPED_HEAVY, provenance=provenance,
+                                 expected="attempted only under an enlarged step budget")
+        else:
+            try:
+                result = check(ctx)
+            except _UNDECIDED as e:
+                result = CheckResult(name, SKIPPED_HEAVY, expected=str(e), provenance=provenance)
+        ctx.checks.append(result)
+
+    return step
 
 
 def _table_row(r, n, a, lam, g, d, Delta) -> CaseRow:
@@ -197,480 +273,292 @@ def _table_row(r, n, a, lam, g, d, Delta) -> CaseRow:
     raise KeyError(f"no classification row {(r, n, a, lam, g, d, Delta)}")
 
 
-def _row_checks(key: tuple, prefix: str = "row") -> list[CheckResult]:
-    """Re-evaluate every applicable closed-form relation on a table row."""
-    row = _table_row(*key)
-    out = []
-    for rel in check_row(row):
-        out.append(
-            CheckResult(
-                f"{prefix}[{key}].{rel.relation}",
-                PASS if rel.ok else FAIL,
-                expected="relation holds",
-                computed=rel.detail or ("ok" if rel.ok else "violated"),
-                provenance=row.provenance,
-            )
+def _row_checks(row: CaseRow, label: str, skip: str | None = None) -> list[CheckResult]:
+    """Re-evaluate every applicable closed-form relation on a row."""
+    return [
+        CheckResult(
+            f"row[{label}].{rel.relation}",
+            PASS if rel.ok else FAIL,
+            expected="relation holds",
+            computed=rel.detail or ("ok" if rel.ok else "violated"),
+            provenance=row.provenance,
         )
-    return out
-
-
-def _load(name: str) -> Ideal:
-    return read_ideal(os.path.join(_DATA, name))
-
-
-def _map_from_files(base: str, image: str) -> tuple[RationalMap, Ideal]:
-    B = _load(base)
-    S = _load(image)
-    return RationalMap(B.ring, S.ring, B.generators), S
+        for rel in check_row(row)
+        if rel.relation != skip
+    ]
 
 
 # ---------------------------------------------------------------------------
-# runners
+# check kinds: each factory returns a step that appends its checks
 
-def _run_quadric_slices(ctx: _Ctx) -> None:
-    """Smooth quadric in a hyperplane: the conic case is run symbolically,
-    the surface and threefold slices numerically."""
-    checks = ctx.checks
+def base(*expected: int) -> Step:
+    """Dimension, degree[, sectional genus[, chi]] of the base locus; the
+    number of values picks the check name."""
+    name = "_".join(("base_locus_dim_deg", "genus", "chi")[: len(expected) - 1])
+
+    def step(ctx: _Ctx) -> None:
+        hd = hilbert_data(ctx.base, budget=ctx.budget, assume_saturated=True)
+        computed = (hd.dim_proj, hd.degree, hd.sectional_genus, hd.chi)[: len(expected)]
+        ctx.checks.append(_eq(name, expected, computed))
+
+    return step
+
+
+def smooth(dim: int, provenance: str = "", image: bool = False) -> Step:
+    """Smoothness certificate of the base locus (or of the image)."""
+
+    def step(ctx: _Ctx) -> None:
+        ideal, name = (ctx.image, "image_smooth") if image else (ctx.base, "base_locus_smooth")
+        ok = smooth_certificate(ideal, dim, ctx.budget)
+        ctx.checks.append(_true(name, ok, provenance))
+
+    return step
+
+
+def gap(a: int, provenance: str = "") -> Step:
+    """Ambient gap of the quadric map: quadrics through the base minus nvars."""
+    return lambda ctx: ctx.checks.append(
+        _eq("ambient_gap", a, ambient_gap(ctx.quadric_map), provenance)
+    )
+
+
+def quadrics(n: int, provenance: str = "", heavy: bool = False) -> Step:
+    """Number of independent quadrics vanishing on the image."""
+
+    def check(ctx: _Ctx) -> CheckResult:
+        return _eq("image_quadric_count", n, len(ctx.quadrics), provenance)
+
+    if heavy:
+        return _heavy("image_quadric_count", "large exact kernel", check)
+    return lambda ctx: ctx.checks.append(check(ctx))
+
+
+def quadric_image(dim: int, deg: int, provenance: str = "") -> Step:
+    """Dimension and degree of the scheme cut out by the image quadrics."""
+
+    def step(ctx: _Ctx) -> None:
+        K = Ideal(ctx.quadric_map.target_ring, ctx.quadrics)
+        hk = hilbert_data(K, budget=ctx.budget, assume_saturated=True)
+        ctx.checks.append(_eq("image_dim_deg", (dim, deg), (hk.dim_proj, hk.degree), provenance))
+
+    return step
+
+
+def image(dim: int, deg: int) -> Step:
+    """Dimension and degree of the image.  An image computed by elimination
+    is saturated; a recorded one is saturated first."""
+
+    def step(ctx: _Ctx) -> None:
+        saturated = ctx.spec.image is None
+        hs = hilbert_data(ctx.image, budget=ctx.budget, assume_saturated=saturated, seed=ctx.seed)
+        ctx.checks.append(_eq("image_dim_deg", (dim, deg), (hs.dim_proj, hs.degree)))
+
+    return step
+
+
+def inverse(degree: int) -> Step:
+    """An inverse of the given degree exists, and the map has type (2, degree)."""
+    name = ("linear", "quadratic")[degree - 1] + "_inverse_exists"
+
+    def step(ctx: _Ctx) -> None:
+        G = solve_inverse(ctx.map, degree)
+        ctx.solved_inverse = G
+        ctx.checks.append(_true(name, G is not None))
+        if G is not None:
+            ctx.checks.append(_eq("type", (2, degree), map_type(ctx.map, G, ctx.seed)))
+
+    return step
+
+
+def recorded(
+    image_provenance: str, inverse_provenance: str = "", map_degrees: tuple | None = None
+) -> Step:
+    """The recorded map sends the source into the recorded image; when an
+    inverse is recorded, the composite is the identity, and `map_degrees`
+    is the expected type."""
+
+    def step(ctx: _Ctx) -> None:
+        F = ctx.map
+        ok = all(forward_annihilation(F, g) for g in ctx.image.generators)
+        ctx.checks.append(_true("forward_annihilation", ok, image_provenance))
+        if ctx.spec.inverse is None:
+            return
+        G = ctx.inverse
+        ok = composition_identity(F, G)
+        ctx.checks.append(_true("composition_identity", ok, inverse_provenance))
+        if map_degrees is not None:
+            ctx.checks.append(_eq("type", map_degrees, map_type(F, G, ctx.seed)))
+
+    return step
+
+
+def segre_profile(
+    args: tuple, segre: tuple, degree_product: int, suffix: str = "", provenance: str = ""
+) -> Step:
+    """Normal-bundle Segre degrees of `segre_chern(*args)` and the product of
+    the image and inverse degrees they push forward to."""
+    r, n, lam = args[:3]
+
+    def step(ctx: _Ctx) -> None:
+        prof, _ = segre_chern(*args)
+        ctx.checks.append(_eq("segre_degrees" + suffix, segre, prof.s, provenance))
+        dd, _ = pushforward_degrees(r, n, lam, list(prof.s))
+        ctx.checks.append(_eq("degree_times_image_degree" + suffix, degree_product, dd))
+
+    return step
+
+
+def chern(lam: int, chern_degrees: tuple, image_degree: int, inverse_degree: int | None = None,
+          segre: tuple | None = None, provenance: str = "", suffix: str = "") -> Step:
+    """Image degree (and optionally inverse degree and Segre degrees) of a
+    degree-lam threefold base locus in P^8 with the given Chern degrees."""
+
+    def step(ctx: _Ctx) -> None:
+        s = normal_segre_from_chern(3, 8, lam, chern_degrees)
+        if segre is not None:
+            ctx.checks.append(_eq("segre_degrees", segre, s, provenance))
+        deg_delta, d_delta = pushforward_degrees(3, 8, lam, list(s))
+        ctx.checks.append(_eq("image_degree" + suffix, image_degree, deg_delta))
+        if inverse_degree is not None:
+            ctx.checks.append(_eq("inverse_degree", inverse_degree, d_delta // deg_delta))
+
+    return step
+
+
+def thresholds(lam: int, g: int, expected: tuple, provenance: str = "") -> Step:
+    """ACM, quadric-generation and linear-syzygy thresholds."""
+
+    def step(ctx: _Ctx) -> None:
+        th = k2_thresholds(lam, g)
+        computed = (th["acm"], th["quadric_generated"], th["linear_syzygies"])
+        ctx.checks.append(_eq("generation_thresholds", expected, computed, provenance))
+
+    return step
+
+
+def rows(*keys: tuple) -> Step:
+    """The closed-form relations of each classification-table row."""
+
+    def step(ctx: _Ctx) -> None:
+        for key in keys:
+            ctx.checks += _row_checks(_table_row(*key), str(key))
+
+    return step
+
+
+def singular_dim(codim: int, cap: int, expected: int, provenance: str) -> Step:
+    """Dimension of the singular locus of the recorded image (heavy)."""
+
+    def check(ctx: _Ctx) -> CheckResult:
+        J = singular_locus(ctx.image, codim, ctx.budget, cap=cap, seed=ctx.seed)
+        h = hilbert_data(J, budget=ctx.budget, assume_saturated=True)
+        return _eq("image_singular_dim", expected, h.dim_proj)
+
+    return _heavy("image_singular_dim", provenance, check)
+
+
+# ---------------------------------------------------------------------------
+# one-off steps
+
+def _conic_in_hyperplane() -> Ideal:
     P3 = Ring(["x0", "x1", "x2", "x3"])
     x = P3.gens()
-    I = Ideal(P3, [x[0] * x[2] - x[1] * x[1], x[3]])
-    F = map_from_ideal(I, ctx.budget)
-    checks.append(_eq("ambient_gap", 1, ambient_gap(F)))
-    hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq("base_locus_dim_deg_genus", (1, 2, 0), (hd.dim_proj, hd.degree, hd.sectional_genus))
-    )
-    S = image_ideal(F, ctx.budget)
-    hs = hilbert_data(S, budget=ctx.budget, assume_saturated=True)
-    checks.append(_eq("image_dim_deg", (3, 2), (hs.dim_proj, hs.degree)))
-    checks.append(
-        _true("image_smooth", smooth_certificate(S, 3, ctx.budget), "quadric image")
-    )
-    G = solve_inverse(F, 1)
-    checks.append(_true("linear_inverse_exists", G is not None))
-    if G is not None:
-        checks.append(_eq("type", (2, 1), map_type(F, G, ctx.seed)))
-    for key in [(1, 3, 1, 2, 0, 1, 2), (2, 4, 1, 2, 0, 1, 2), (3, 5, 1, 2, 0, 1, 2)]:
-        checks += _row_checks(key)
+    return Ideal(P3, [x[0] * x[2] - x[1] * x[1], x[3]])
 
 
-def _run_elliptic_quintic(ctx: _Ctx) -> None:
+def _secant_is_quintic(ctx: _Ctx) -> CheckResult:
+    gens = secant_ideal(ctx.base, ctx.budget).generators
+    ok = len(gens) == 1 and gens[0].degree() == 5
+    return _true("secant_quintic_hypersurface", ok, "degree 2d-1 with d=3")
+
+
+def _quartic_singular_support(ctx: _Ctx) -> None:
+    """The recorded image is the image, and it is singular exactly along
+    the recorded line."""
     checks = ctx.checks
-    I = elliptic_quintic_pfaffian()
-    hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq("base_locus_dim_deg_genus", (1, 5, 1), (hd.dim_proj, hd.degree, hd.sectional_genus))
-    )
-    checks.append(
-        _true("base_locus_smooth", smooth_certificate(I, 1, ctx.budget))
-    )
-    dim2, _ = graded_piece(I, 2, ctx.budget)
-    checks.append(_eq("ambient_gap", 0, dim2 - 5, "square Cremona: five quadrics"))
-    checks += _row_checks((1, 4, 0, 5, 1, 3, 1))
-
-    def secant_check() -> CheckResult:
-        from .maps import secant_ideal
-
-        sec = secant_ideal(I, ctx.budget)
-        gens = sec.generators
-        ok = len(gens) == 1 and gens[0].degree() == 5
-        return _true("secant_quintic_hypersurface", ok, "degree 2d-1 with d=3")
-
-    checks.append(
-        _heavy(ctx, "secant_quintic_hypersurface", "two-copy elimination", secant_check)
-    )
-
-
-def _run_severi_slices(ctx: _Ctx) -> None:
-    """Hyperplane slice of the Veronese involution: quartic curve case run
-    symbolically, the surface and threefold relatives numerically."""
-    checks = ctx.checks
-    I = rational_normal_curve(4)
-    hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq("base_locus_dim_deg_genus", (1, 4, 0), (hd.dim_proj, hd.degree, hd.sectional_genus))
-    )
-    F = map_from_ideal(I, ctx.budget)
-    checks.append(_eq("ambient_gap", 1, ambient_gap(F)))
-    S = image_ideal(F, ctx.budget)
-    hs = hilbert_data(S, budget=ctx.budget, assume_saturated=True)
-    checks.append(_eq("image_dim_deg", (4, 2), (hs.dim_proj, hs.degree)))
-    checks.append(_true("image_smooth", smooth_certificate(S, 4, ctx.budget)))
-    G = solve_inverse(F, 2)
-    checks.append(_true("quadratic_inverse_exists", G is not None))
-    if G is not None:
-        checks.append(_eq("type", (2, 2), map_type(F, G, ctx.seed)))
-    for key in [(1, 4, 1, 4, 0, 2, 2), (2, 5, 0, 4, 0, 2, 1), (3, 7, 1, 6, 1, 2, 2)]:
-        checks += _row_checks(key)
-
-
-def _run_quartic_curve(ctx: _Ctx) -> None:
-    """The quartic-curve transformation whose image is singular exactly
-    along the inverse base locus (the regularity hypothesis fails)."""
-    checks = ctx.checks
-    X = _load("quartic_curve_base.ideal")
-    comp = _load("quartic_curve_map.ideal")
-    S_disp = _load("quartic_curve_image.ideal")
-    sing_disp = _load("quartic_curve_sing.ideal")
-    singred = _load("quartic_curve_singred.ideal")
-
-    hd = hilbert_data(X, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq("base_locus_dim_deg_genus", (1, 4, 1), (hd.dim_proj, hd.degree, hd.sectional_genus))
-    )
-    dim2, _ = graded_piece(X, 2, ctx.budget)
-    checks.append(_eq("ambient_gap", 2, dim2 - 5))
-    F = RationalMap(X.ring, S_disp.ring, comp.generators)
-    checks.append(
-        _true(
-            "forward_annihilation",
-            all(forward_annihilation(F, g) for g in S_disp.generators),
-            "recorded image generators",
-        )
-    )
-    S = image_ideal(F, ctx.budget)
-    checks.append(
-        _true("image_ideal_equals_recorded", ideal_equal(S, S_disp, ctx.budget))
-    )
+    S_disp = ctx.image
+    S = image_ideal(ctx.map, ctx.budget)
+    checks.append(_true("image_ideal_equals_recorded", ideal_equal(S, S_disp, ctx.budget)))
     hs = hilbert_data(S_disp, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq(
-            "image_hilbert_polynomial",
-            "1/6*t^4 + t^3 + 7/3*t^2 + 5/2*t + 1",
-            hs.hp_str(),
-            "quartic fourfold image",
-        )
-    )
+    quartic_fourfold = "1/6*t^4 + t^3 + 7/3*t^2 + 5/2*t + 1"
+    checks.append(_eq("image_hilbert_polynomial", quartic_fourfold, hs.hp_str(),
+                      "quartic fourfold image"))
     sing = singular_locus(S_disp, 2, ctx.budget, seed=ctx.seed)
     hsing = hilbert_data(sing, budget=ctx.budget, assume_saturated=True)
     checks.append(_eq("singular_locus_hilbert_polynomial", "t + 5", hsing.hp_str()))
+    same = ideal_equal(sing, ctx.load("quartic_curve_sing.ideal"), ctx.budget)
     checks.append(
-        _true(
-            "singular_scheme_matches_recorded",
-            ideal_equal(sing, sing_disp, ctx.budget),
-            "saturated Jacobian-minor scheme",
-        )
+        _true("singular_scheme_matches_recorded", same, "saturated Jacobian-minor scheme")
     )
     # reduced support: the singular scheme is contained in the recorded
     # line, and every linear generator has a power inside it
+    singred = ctx.load("quartic_curve_singred.ideal")
     contained = all(membership(g, singred, ctx.budget) for g in sing.generators)
     powers = all(
         membership(singred.ring.var(v) ** 3, sing, ctx.budget)
         for v in ("y2", "y3", "y4", "y5", "y6")
     )
-    checks.append(
-        _true("singular_support_is_recorded_line", contained and powers)
+    checks.append(_true("singular_support_is_recorded_line", contained and powers))
+
+
+def _quartic_inverse_base_locus(ctx: _Ctx) -> None:
+    """The linear inverse's base locus on the image is the recorded line, so
+    the image is singular exactly along it: the regularity hypothesis fails."""
+    G = ctx.solved_inverse
+    if G is None:
+        return
+    S_disp = ctx.image
+    Bprime = Ideal(S_disp.ring, list(G.components) + list(S_disp.generators))
+    Bp = saturate_irrelevant(Bprime, ctx.budget, seed=ctx.seed)
+    same = ideal_equal(Bp, ctx.load("quartic_curve_singred.ideal"), ctx.budget)
+    ctx.checks.append(_true("inverse_base_locus_is_recorded_line", same,
+                            "base locus of the linear inverse on the image"))
+    support = any(c.name == "singular_support_is_recorded_line" and c.status == PASS
+                  for c in ctx.checks)
+    ctx.checks.append(
+        CheckResult(
+            "ASSUMPTION3_VIOLATED",
+            PASS if (same and support) else FAIL,
+            expected="singular support equals the inverse base locus",
+            computed=str(same and support),
+            provenance="regularity hypothesis fails for this map",
+        )
     )
-    G = solve_inverse(F, 1)
-    checks.append(_true("linear_inverse_exists", G is not None))
-    if G is not None:
-        checks.append(_eq("type", (2, 1), map_type(F, G, ctx.seed)))
-        Bprime = Ideal(S_disp.ring, list(G.components) + list(S_disp.generators))
-        Bp = saturate_irrelevant(Bprime, ctx.budget, seed=ctx.seed)
-        same = ideal_equal(Bp, singred, ctx.budget)
-        checks.append(
-            _true(
-                "inverse_base_locus_is_recorded_line",
-                same,
-                "base locus of the linear inverse on the image",
-            )
-        )
-        checks.append(
-            CheckResult(
-                "ASSUMPTION3_VIOLATED",
-                PASS if (same and contained and powers) else FAIL,
-                expected="singular support equals the inverse base locus",
-                computed=str(same and contained and powers),
-                provenance="regularity hypothesis fails for this map",
-            )
-        )
-    # this case sits outside the classification table (the regularity
-    # hypothesis fails), so its numeric relations run on an ad-hoc row
-    adhoc = CaseRow(
-        r=1, n=4, a=2, lam=4, g=1,
-        structure="elliptic quartic curve", d=1, Delta=4, c=2, eps=1, chi=0,
-    )
-    for rel in check_row(adhoc):
-        if rel.relation == "double_point":
-            continue
-        checks.append(
-            CheckResult(
-                f"row[excluded quartic].{rel.relation}",
-                PASS if rel.ok else FAIL,
-                expected="relation holds",
-                computed=rel.detail or ("ok" if rel.ok else "violated"),
-            )
-        )
+
+
+# this case sits outside the classification table (the regularity
+# hypothesis fails), so its numeric relations run on an ad-hoc row
+_EXCLUDED_QUARTIC = CaseRow(
+    r=1, n=4, a=2, lam=4, g=1,
+    structure="elliptic quartic curve", d=1, Delta=4, c=2, eps=1, chi=0,
+)
+
+
+def _quartic_exclusion(ctx: _Ctx) -> None:
+    ctx.checks += _row_checks(_EXCLUDED_QUARTIC, "excluded quartic", skip="double_point")
     # exclusion witness: the curve has two apparent double points, not the
     # single one a linear-inverse transformation would need
-    from .invariants import double_point as _dp
-
-    checks.append(
-        _eq(
-            "apparent_double_points_exclude_case",
-            -2,
-            int(_dp(1, 4, 1, 1)),
-            "two apparent double points versus secant degree one",
-        )
-    )
+    ctx.checks.append(_eq("apparent_double_points_exclude_case", -2, int(double_point(1, 4, 1, 1)),
+                          "two apparent double points versus secant degree one"))
 
 
-def _run_segre_line_plane(ctx: _Ctx) -> None:
+def _saturation_fixed_point(ctx: _Ctx) -> None:
+    sat = saturate_irrelevant(ctx.base, ctx.budget, seed=ctx.seed)
+    same = ideal_equal(sat, ctx.base, ctx.budget)
+    ctx.checks.append(_true("ideal_saturated", same, "irrelevant saturation fixed point"))
+
+
+def _del_pezzo_lift_certificate(ctx: _Ctx) -> None:
+    """Degree-19 image whose candidate inverse degree product is 25, so the
+    inverse cannot lift to an integral-degree representative."""
     checks = ctx.checks
-    I = in_hyperplane(segre(1, 2))
-    hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
-    checks.append(_eq("base_locus_dim_deg", (3, 3), (hd.dim_proj, hd.degree)))
-    F = map_from_ideal(I, ctx.budget)
-    checks.append(_eq("ambient_gap", 3, ambient_gap(F)))
-    quads = image_forms(F, 2, ctx.budget)
-    checks.append(
-        _eq("image_quadric_count", 5, len(quads), "line-Grassmannian image")
-    )
-    K = Ideal(F.target_ring, quads)
-    hk = hilbert_data(K, budget=ctx.budget, assume_saturated=True)
-    checks.append(_eq("image_dim_deg", (6, 5), (hk.dim_proj, hk.degree)))
-    checks += _row_checks((3, 6, 3, 3, 0, 1, 5))
-    checks += _row_checks((2, 5, 3, 3, 0, 1, 5))
-    checks += _row_checks((1, 4, 3, 3, 0, 1, 5))
-
-
-def _run_octic_cremona(ctx: _Ctx) -> None:
-    ctx.checks += _row_checks((2, 6, 0, 8, 3, 4, 1))
-    ctx.checks += _row_checks((2, 6, 0, 7, 1, 4, 1))
-
-
-def _run_septic_section(ctx: _Ctx) -> None:
-    ctx.checks += _row_checks((2, 6, 1, 7, 2, 3, 2))
-
-
-def _run_del_pezzo_sextic(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    cube = segre_product((1, 1, 1))
-    I = hyperplane_slice(cube, [1, 0, 0, 1, 0, 1, 0, 1])
-    hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq("base_locus_dim_deg_genus", (2, 6, 1), (hd.dim_proj, hd.degree, hd.sectional_genus))
-    )
-    checks.append(_true("base_locus_smooth", smooth_certificate(I, 2, ctx.budget)))
-    F = map_from_ideal(I, ctx.budget)
-    checks.append(_eq("ambient_gap", 2, ambient_gap(F)))
-    quads = image_forms(F, 2, ctx.budget)
-    checks.append(
-        _eq("image_quadric_count", 2, len(quads), "intersection of two quadrics")
-    )
-    K = Ideal(F.target_ring, quads)
-    hk = hilbert_data(K, budget=ctx.budget, assume_saturated=True)
-    checks.append(_eq("image_dim_deg", (6, 4), (hk.dim_proj, hk.degree)))
-    checks += _row_checks((2, 6, 2, 6, 1, 2, 4))
-
-
-def _run_quintic_scrolls(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    I = scroll((1, 4))
-    hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq("base_locus_dim_deg_genus", (2, 5, 0), (hd.dim_proj, hd.degree, hd.sectional_genus))
-    )
-    checks.append(_true("base_locus_smooth", smooth_certificate(I, 2, ctx.budget)))
-    F = map_from_ideal(I, ctx.budget)
-    checks.append(_eq("ambient_gap", 3, ambient_gap(F)))
-    quads = image_forms(F, 2, ctx.budget)
-    checks.append(_eq("image_quadric_count", 5, len(quads)))
-    K = Ideal(F.target_ring, quads)
-    hk = hilbert_data(K, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq("image_dim_deg", (6, 5), (hk.dim_proj, hk.degree), "line-Grassmannian image")
-    )
-    checks += _row_checks((2, 6, 3, 5, 0, 2, 5))
-
-
-def _run_grassmannian_to_spinor(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    I = in_hyperplane(grassmannian_plucker(1, 4))
-    hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
-    checks.append(_eq("base_locus_dim_deg", (6, 5), (hd.dim_proj, hd.degree)))
-    dim2, _ = graded_piece(I, 2, ctx.budget)
-    checks.append(_eq("ambient_gap", 5, dim2 - 11))
-
-    def kernel_check() -> CheckResult:
-        F = map_from_ideal(I, ctx.budget)
-        quads = image_forms(F, 2, ctx.budget)
-        return _eq("image_quadric_count", 10, len(quads), "spinor-variety image")
-
-    checks.append(
-        _heavy(ctx, "image_quadric_count", "large exact kernel", kernel_check)
-    )
-    checks += _row_checks((2, 6, 5, 5, 1, 1, 12))
-    checks += _row_checks((3, 7, 5, 5, 1, 1, 12))
-
-
-def _run_line_space_segre(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    I = in_hyperplane(segre(1, 3))
-    hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
-    checks.append(_eq("base_locus_dim_deg", (4, 4), (hd.dim_proj, hd.degree)))
-    dim2, _ = graded_piece(I, 2, ctx.budget)
-    checks.append(_eq("ambient_gap", 6, dim2 - 9))
-    F = map_from_ideal(I, ctx.budget)
-    quads = image_forms(F, 2, ctx.budget)
-    checks.append(
-        _eq("image_quadric_count", 15, len(quads), "line-Grassmannian of P^5")
-    )
-    checks += _row_checks((3, 7, 6, 4, 0, 1, 14))
-    checks += _row_checks((2, 6, 6, 4, 0, 1, 14))
-
-
-def _run_projected_grassmannian(ctx: _Ctx) -> None:
-    ctx.checks += _row_checks((3, 8, 0, 13, 8, 5, 1))
-
-
-def _run_blown_up_quadric(ctx: _Ctx) -> None:
-    ctx.checks += _row_checks((3, 8, 1, 11, 5, 3, 3))
-
-
-def _run_ruled_scroll_eleven(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    prof, _ = segre_chern(3, 8, 11, 5, 4, 2)
-    checks.append(
-        _eq(
-            "segre_degrees",
-            (-85, 386, -1330),
-            prof.s,
-            "recorded normal-bundle Segre degrees",
-        )
-    )
-    dd, _ = pushforward_degrees(3, 8, 11, list(prof.s))
-    checks.append(_eq("degree_times_image_degree", 2, dd))
-    th = k2_thresholds(11, 5)
-    checks.append(
-        _eq(
-            "generation_thresholds",
-            (True, False, False),
-            (th["acm"], th["quadric_generated"], th["linear_syzygies"]),
-            "conditional: needs the base locus cut out by its quadrics",
-        )
-    )
-    checks += _row_checks((3, 8, 1, 11, 5, 4, 2))
-
-
-def _run_spinor_section(ctx: _Ctx) -> None:
-    ctx.checks += _row_checks((3, 8, 1, 12, 7, 4, 2))
-
-
-def _run_quadric_scroll_ten(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    prof, _ = segre_chern(3, 8, 10, 4, 3, 4)
-    checks.append(_eq("segre_degrees", (-76, 340, -1156), prof.s))
-    dd, _ = pushforward_degrees(3, 8, 10, list(prof.s))
-    checks.append(_eq("degree_times_image_degree", 4, dd))
-    th = k2_thresholds(10, 5)
-    checks.append(
-        _eq(
-            "generation_thresholds",
-            (True, True, False),
-            (th["acm"], th["quadric_generated"], th["linear_syzygies"]),
-        )
-    )
-    checks += _row_checks((3, 8, 2, 10, 4, 3, 4))
-
-
-def _run_plane_scroll_nine(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    prof_s, _ = segre_chern(3, 8, 9, 3, 2, 8)
-    checks.append(_eq("segre_degrees_scroll", (-67, 294, -984), prof_s.s))
-    dd_s, _ = pushforward_degrees(3, 8, 9, list(prof_s.s))
-    checks.append(_eq("degree_times_image_degree_scroll", 8, dd_s))
-    prof_q, _ = segre_chern(3, 8, 9, 3, 3, 5)
-    checks.append(_eq("segre_degrees_fibration", (-67, 295, -997), prof_q.s))
-    dd_q, _ = pushforward_degrees(3, 8, 9, list(prof_q.s))
-    checks.append(_eq("degree_times_image_degree_fibration", 5, dd_q))
-    checks += _row_checks((3, 8, 3, 9, 3, 2, 8))
-    checks += _row_checks((3, 8, 3, 9, 3, 3, 5))
-
-
-def _run_line_times_quadric(ctx: _Ctx) -> None:
-    """The explicit thirteen-quadric threefold in P^8: full pipeline."""
-    checks = ctx.checks
-    X = _load("line_times_quadric_base.ideal")
-    S_disp = _load("line_times_quadric_image.ideal")
-    inv = _load("line_times_quadric_inverse.ideal")
-
-    sat = saturate_irrelevant(X, ctx.budget, seed=ctx.seed)
-    checks.append(
-        _true("ideal_saturated", ideal_equal(sat, X, ctx.budget), "irrelevant saturation fixed point")
-    )
-    hd = hilbert_data(X, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq(
-            "base_locus_dim_deg_genus_chi",
-            (3, 8, 2, 1),
-            (hd.dim_proj, hd.degree, hd.sectional_genus, hd.chi),
-        )
-    )
-    dim2, _ = graded_piece(X, 2, ctx.budget)
-    checks.append(_eq("ambient_gap", 4, dim2 - 9))
-    checks.append(
-        _true("base_locus_smooth", smooth_certificate(X, 3, ctx.budget), "per-chart Jacobians")
-    )
-    F = RationalMap(X.ring, S_disp.ring, X.generators)
-    checks.append(
-        _true(
-            "forward_annihilation",
-            all(forward_annihilation(F, g) for g in S_disp.generators),
-            "six recorded image generators",
-        )
-    )
-    G = RationalMap(S_disp.ring, X.ring, inv.generators)
-    checks.append(
-        _true("composition_identity", composition_identity(F, G), "recorded inverse")
-    )
-    checks.append(_eq("type", (2, 2), map_type(F, G, ctx.seed)))
-    hs = hilbert_data(S_disp, budget=ctx.budget, assume_saturated=False, seed=ctx.seed)
-    checks.append(_eq("image_dim_deg", (8, 10), (hs.dim_proj, hs.degree)))
-
-    def sing_dim() -> CheckResult:
-        J = singular_locus(S_disp, 4, ctx.budget, cap=12000, seed=ctx.seed)
-        h = hilbert_data(J, budget=ctx.budget, assume_saturated=True)
-        return _eq("image_singular_dim", 3, h.dim_proj)
-
-    checks.append(
-        _heavy(ctx, "image_singular_dim", "codimension-4 minor scheme in P^12", sing_dim)
-    )
-    checks += _row_checks((3, 8, 4, 8, 2, 2, 10))
-
-
-def _run_del_pezzo_seven(ctx: _Ctx) -> None:
-    """Degree-seven del Pezzo threefold: birational image of degree 19 with
-    a non-liftable inverse."""
-    checks = ctx.checks
-    X = _load("del_pezzo_seven_base.ideal")
-    S_disp = _load("del_pezzo_seven_image.ideal")
-    inv = _load("del_pezzo_seven_inverse.ideal")
-    hd = hilbert_data(X, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq(
-            "base_locus_dim_deg_genus_chi",
-            (3, 7, 1, 1),
-            (hd.dim_proj, hd.degree, hd.sectional_genus, hd.chi),
-        )
-    )
-    dim2, _ = graded_piece(X, 2, ctx.budget)
-    checks.append(_eq("ambient_gap", 5, dim2 - 9))
-    checks.append(_true("base_locus_smooth", smooth_certificate(X, 3, ctx.budget)))
     prof, _ = segre_chern(3, 8, 7, 1, None, None)
-    c1 = prof.c[0]
-    s = normal_segre_from_chern(3, 8, 7, (c1, 12, 6))
+    s = normal_segre_from_chern(3, 8, 7, (prof.c[0], 12, 6))
     checks.append(_eq("segre_degrees", (-49, 201, -627), s, "del Pezzo Chern degrees 14, 12, 6"))
     deg_delta, d_delta = pushforward_degrees(3, 8, 7, list(s))
     checks.append(_eq("image_degree", 19, deg_delta))
-    checks.append(
-        _eq(
-            "lift_candidate_degree_product",
-            25,
-            d_delta,
-            "inconsistent with an integral inverse degree",
-        )
-    )
+    checks.append(_eq("lift_candidate_degree_product", 25, d_delta,
+                      "inconsistent with an integral inverse degree"))
     checks.append(
         CheckResult(
             "NOT_LIFTABLE_CERTIFICATE",
@@ -679,69 +567,10 @@ def _run_del_pezzo_seven(ctx: _Ctx) -> None:
             computed=f"{d_delta} mod {deg_delta} = {d_delta % deg_delta}",
         )
     )
-    F = RationalMap(X.ring, S_disp.ring, X.generators)
-    checks.append(
-        _true(
-            "forward_annihilation",
-            all(forward_annihilation(F, g) for g in S_disp.generators),
-            "recorded image generators (six quadrics and one cubic)",
-        )
-    )
-    G = RationalMap(S_disp.ring, X.ring, inv.generators)
-    checks.append(
-        _true("composition_identity", composition_identity(F, G), "recorded inverse representative")
-    )
-
-    def sing_bound() -> CheckResult:
-        J = singular_locus(S_disp, 5, ctx.budget, cap=50000, seed=ctx.seed)
-        h = hilbert_data(J, budget=ctx.budget, assume_saturated=True)
-        return _eq("image_singular_dim", 4, h.dim_proj)
-
-    checks.append(
-        _heavy(ctx, "image_singular_dim", "codimension-5 minor scheme in P^13", sing_bound)
-    )
 
 
-def _run_sextic_scrolls(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    I = scroll((2, 2, 2))
-    hd = hilbert_data(I, budget=ctx.budget, assume_saturated=True)
-    checks.append(
-        _eq("base_locus_dim_deg_genus", (3, 6, 0), (hd.dim_proj, hd.degree, hd.sectional_genus))
-    )
-    checks.append(_true("base_locus_smooth", smooth_certificate(I, 3, ctx.budget)))
-    F = map_from_ideal(I, ctx.budget)
-    checks.append(_eq("ambient_gap", 6, ambient_gap(F)))
-    quads = image_forms(F, 2, ctx.budget)
-    checks.append(
-        _eq("image_quadric_count", 15, len(quads), "line-Grassmannian of P^5")
-    )
-    checks += _row_checks((3, 8, 6, 6, 0, 2, 14))
-
-
-def _run_octic_plane_bundle(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    s = normal_segre_from_chern(3, 8, 8, (12, 15, 6))
-    checks.append(
-        _eq("segre_degrees", (-60, 267, -909), s, "recorded Chern degrees 12, 15, 6")
-    )
-    deg_delta, d_delta = pushforward_degrees(3, 8, 8, list(s))
-    checks.append(_eq("image_degree", 29, deg_delta))
-    checks.append(_eq("inverse_degree", 1, d_delta // deg_delta))
-    checks += _row_checks((3, 8, 7, 8, 3, 1, 29))
-
-
-def _run_edge_threefolds(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    s7 = normal_segre_from_chern(3, 8, 7, (12, 14, 4))
-    d7, dd7 = pushforward_degrees(3, 8, 7, list(s7))
-    checks.append(_eq("image_degree_septic_case", 33, d7))
-    s6 = normal_segre_from_chern(3, 8, 6, (12, 12, 8))
-    d6, dd6 = pushforward_degrees(3, 8, 6, list(s6))
-    checks.append(_eq("image_degree_sextic_case", 38, d6))
-    checks += _row_checks((3, 8, 8, 7, 2, 1, 33))
-    checks += _row_checks((3, 8, 9, 6, 1, 1, 38))
-    checks.append(
+def _edge_singular_bounds(ctx: _Ctx) -> None:
+    ctx.checks.append(
         CheckResult(
             "image_singular_dim_bounds",
             SKIPPED_HEAVY,
@@ -751,183 +580,206 @@ def _run_edge_threefolds(ctx: _Ctx) -> None:
     )
 
 
-def _run_quintic_scroll_oadp(ctx: _Ctx) -> None:
-    checks = ctx.checks
-    s = normal_segre_from_chern(3, 8, 5, (12, 11, 6))
-    deg_delta, d_delta = pushforward_degrees(3, 8, 5, list(s))
-    checks.append(_eq("image_degree", 42, deg_delta))
-    checks.append(_eq("inverse_degree", 1, d_delta // deg_delta))
-
-    def kernel_check() -> CheckResult:
-        I = in_hyperplane(scroll((1, 2, 2)))
-        F = map_from_ideal(I, ctx.budget)
-        quads = image_forms(F, 2, ctx.budget)
-        return _eq(
-            "image_quadric_count",
-            37,
-            len(quads),
-            "linear section of the line Grassmannian of P^6",
-        )
-
-    checks.append(
-        _heavy(ctx, "image_quadric_count", "large exact kernel", kernel_check)
-    )
-    checks += _row_checks((3, 8, 10, 5, 0, 1, 42))
-
-
-@dataclass(frozen=True)
-class ExampleSpec:
-    name: str
-    description: str
-    feasibility: str
-    runner: Callable[[_Ctx], None]  # appends its checks to ctx.checks
-    note: str = ""
+# G(1,6) in P^20 has HF(2) = 196, so its codimension-2 linear section has
+# HF(2) = 196 - 2*21 + 1 = 155 and lies on 190 - 155 = 35 quadrics of P^18
+_QUINTIC_SCROLL_QUADRICS = (
+    "codimension-2 linear section of the line Grassmannian of P^6: 190 - (196 - 2*21 + 1) = 35"
+)
 
 
 CORPUS: dict[str, ExampleSpec] = {
     spec.name: spec
     for spec in [
+        # the conic case runs symbolically, the surface and threefold slices numerically
         ExampleSpec(
             "quadric_slices",
             "smooth quadric inside a hyperplane; image a smooth quadric, linear inverse",
             FULL,
-            _run_quadric_slices,
+            (gap(1), base(1, 2, 0), image(3, 2), smooth(3, "quadric image", image=True), inverse(1),
+             rows((1, 3, 1, 2, 0, 1, 2), (2, 4, 1, 2, 0, 1, 2), (3, 5, 1, 2, 0, 1, 2))),
+            base=_conic_in_hyperplane,
         ),
         ExampleSpec(
             "elliptic_quintic_cremona",
             "elliptic normal quintic curve; square Cremona transformation with cubic inverse",
             FULL,
-            _run_elliptic_quintic,
+            (base(1, 5, 1), smooth(1), gap(0, "square Cremona: five quadrics"),
+             rows((1, 4, 0, 5, 1, 3, 1)),
+             _heavy("secant_quintic_hypersurface", "two-copy elimination", _secant_is_quintic)),
+            base=elliptic_quintic_pfaffian,
         ),
+        # the quartic curve case runs symbolically, its surface and threefold
+        # relatives numerically
         ExampleSpec(
             "severi_slices",
             "rational normal quartic curve (hyperplane slice of the Veronese involution)",
             FULL,
-            _run_severi_slices,
+            (base(1, 4, 0), gap(1), image(4, 2), smooth(4, image=True), inverse(2),
+             rows((1, 4, 1, 4, 0, 2, 2), (2, 5, 0, 4, 0, 2, 1), (3, 7, 1, 6, 1, 2, 2))),
+            base=lambda: rational_normal_curve(4),
         ),
         ExampleSpec(
             "quartic_curve_singular_image",
             "elliptic quartic curve; quartic image singular exactly along the inverse base line",
             FULL,
-            _run_quartic_curve,
+            (base(1, 4, 1), gap(2), recorded("recorded image generators"),
+             _quartic_singular_support, inverse(1), _quartic_inverse_base_locus,
+             _quartic_exclusion),
+            base="quartic_curve_base.ideal",
+            image="quartic_curve_image.ideal",
+            map="quartic_curve_map.ideal",
         ),
         ExampleSpec(
             "segre_line_plane",
             "Segre threefold inside a hyperplane; image the line Grassmannian of P^4",
             FORWARD_ONLY,
-            _run_segre_line_plane,
+            (base(3, 3), gap(3), quadrics(5, "line-Grassmannian image"), quadric_image(6, 5),
+             rows((3, 6, 3, 3, 0, 1, 5), (2, 5, 3, 3, 0, 1, 5), (1, 4, 3, 3, 0, 1, 5))),
+            base=lambda: in_hyperplane(segre(1, 2)),
         ),
         ExampleSpec(
             "octic_plane_cremona",
             "octic-system plane blow-ups and the septic elliptic scroll; square Cremona sources",
             NUMERIC_ONLY,
-            _run_octic_cremona,
+            (rows((2, 6, 0, 8, 3, 4, 1), (2, 6, 0, 7, 1, 4, 1)),),
         ),
         ExampleSpec(
             "septic_edge_section",
             "surface section of the septic two-ruling scroll; rank-six quadric image",
             NUMERIC_ONLY,
-            _run_septic_section,
+            (rows((2, 6, 1, 7, 2, 3, 2)),),
         ),
         ExampleSpec(
             "del_pezzo_sextic",
             "sextic del Pezzo surface; image a complete intersection of two quadrics",
             FORWARD_ONLY,
-            _run_del_pezzo_sextic,
+            (base(2, 6, 1), smooth(2), gap(2), quadrics(2, "intersection of two quadrics"),
+             quadric_image(6, 4), rows((2, 6, 2, 6, 1, 2, 4))),
+            base=lambda: hyperplane_slice(segre_product((1, 1, 1)), [1, 0, 0, 1, 0, 1, 0, 1]),
         ),
         ExampleSpec(
             "quintic_surface_scrolls",
             "quintic rational surface scrolls; image the line Grassmannian of P^4",
             FORWARD_ONLY,
-            _run_quintic_scrolls,
+            (base(2, 5, 0), smooth(2), gap(3), quadrics(5),
+             quadric_image(6, 5, "line-Grassmannian image"), rows((2, 6, 3, 5, 0, 2, 5))),
+            base=lambda: scroll((1, 4)),
         ),
         ExampleSpec(
             "grassmannian_to_spinor",
             "line Grassmannian of P^4 inside a hyperplane; image the spinor tenfold",
             NUMERIC_ONLY,
-            _run_grassmannian_to_spinor,
-            note="full elimination exceeds the desk scale",
+            (base(6, 5), gap(5), quadrics(10, "spinor-variety image", heavy=True),
+             rows((2, 6, 5, 5, 1, 1, 12), (3, 7, 5, 5, 1, 1, 12))),
+            base=lambda: in_hyperplane(grassmannian_plucker(1, 4)),
         ),
         ExampleSpec(
             "line_space_segre",
             "product of a line and a space inside a hyperplane; image the line Grassmannian of P^5",
             FORWARD_ONLY,
-            _run_line_space_segre,
-            note="rank-stratification loci out of scope",
+            (base(4, 4), gap(6), quadrics(15, "line-Grassmannian of P^5"),
+             rows((3, 7, 6, 4, 0, 1, 14), (2, 6, 6, 4, 0, 1, 14))),
+            base=lambda: in_hyperplane(segre(1, 3)),
         ),
         ExampleSpec(
             "projected_grassmannian_cremona",
             "internal projection of a Grassmannian section; square Cremona with quintic inverse",
             NUMERIC_ONLY,
-            _run_projected_grassmannian,
+            (rows((3, 8, 0, 13, 8, 5, 1)),),
         ),
         ExampleSpec(
             "blown_up_quadric_threefold",
             "quadric threefold blown up at five points; cubic hypersurface image",
             NUMERIC_ONLY,
-            _run_blown_up_quadric,
+            (rows((3, 8, 1, 11, 5, 3, 3)),),
         ),
         ExampleSpec(
             "ruled_scroll_eleven",
             "degree-eleven scroll over a ruled surface; conditional quadric image",
             NUMERIC_ONLY,
-            _run_ruled_scroll_eleven,
-            note="conditional: requires the base locus to be cut out by its quadrics",
+            (segre_profile((3, 8, 11, 5, 4, 2), (-85, 386, -1330), 2,
+                           provenance="recorded normal-bundle Segre degrees"),
+             thresholds(11, 5, (True, False, False),
+                        "conditional: needs the base locus cut out by its quadrics"),
+             rows((3, 8, 1, 11, 5, 4, 2))),
         ),
         ExampleSpec(
             "spinor_section_quadric_image",
             "threefold linear section of the spinor tenfold; smooth quadric image",
             NUMERIC_ONLY,
-            _run_spinor_section,
+            (rows((3, 8, 1, 12, 7, 4, 2)),),
         ),
         ExampleSpec(
             "quadric_scroll_ten",
             "degree-ten scroll over a quadric surface; quartic image",
             NUMERIC_ONLY,
-            _run_quadric_scroll_ten,
+            (segre_profile((3, 8, 10, 4, 3, 4), (-76, 340, -1156), 4),
+             thresholds(10, 5, (True, True, False)), rows((3, 8, 2, 10, 4, 3, 4))),
         ),
         ExampleSpec(
             "plane_scroll_nine",
             "degree-nine plane scroll and quadric fibration; octic and quintic images",
             NUMERIC_ONLY,
-            _run_plane_scroll_nine,
+            (segre_profile((3, 8, 9, 3, 2, 8), (-67, 294, -984), 8, suffix="_scroll"),
+             segre_profile((3, 8, 9, 3, 3, 5), (-67, 295, -997), 5, suffix="_fibration"),
+             rows((3, 8, 3, 9, 3, 2, 8), (3, 8, 3, 9, 3, 3, 5))),
         ),
+        # the explicit thirteen-quadric threefold in P^8: full pipeline
         ExampleSpec(
             "line_times_quadric_section",
             "hyperplane section of a line times a quadric threefold; explicit degree-ten image",
             FULL,
-            _run_line_times_quadric,
+            (_saturation_fixed_point, base(3, 8, 2, 1), gap(4), smooth(3, "per-chart Jacobians"),
+             recorded("six recorded image generators", "recorded inverse", (2, 2)),
+             image(8, 10), singular_dim(4, 12000, 3, "codimension-4 minor scheme in P^12"),
+             rows((3, 8, 4, 8, 2, 2, 10))),
+            base="line_times_quadric_base.ideal",
+            image="line_times_quadric_image.ideal",
+            inverse="line_times_quadric_inverse.ideal",
         ),
         ExampleSpec(
             "del_pezzo_seven_nonliftable",
             "degree-seven del Pezzo threefold; degree-19 image with non-liftable inverse",
             FULL,
-            _run_del_pezzo_seven,
+            (base(3, 7, 1, 1), gap(5), smooth(3), _del_pezzo_lift_certificate,
+             recorded("recorded image generators (six quadrics and one cubic)",
+                      "recorded inverse representative"),
+             singular_dim(5, 50000, 4, "codimension-5 minor scheme in P^13")),
+            base="del_pezzo_seven_base.ideal",
+            image="del_pezzo_seven_image.ideal",
+            inverse="del_pezzo_seven_inverse.ideal",
         ),
         ExampleSpec(
             "sextic_threefold_scrolls",
             "sextic rational normal threefold scrolls; image the line Grassmannian of P^5",
             FORWARD_ONLY,
-            _run_sextic_scrolls,
+            (base(3, 6, 0), smooth(3), gap(6), quadrics(15, "line-Grassmannian of P^5"),
+             rows((3, 8, 6, 6, 0, 2, 14))),
+            base=lambda: scroll((2, 2, 2)),
         ),
         ExampleSpec(
             "octic_plane_bundle_oadp",
             "octic plane bundle with one apparent double point; degree-29 image",
             NUMERIC_ONLY,
-            _run_octic_plane_bundle,
+            (chern(8, (12, 15, 6), 29, inverse_degree=1, segre=(-60, 267, -909),
+                   provenance="recorded Chern degrees 12, 15, 6"),
+             rows((3, 8, 7, 8, 3, 1, 29))),
         ),
         ExampleSpec(
             "edge_threefolds_oadp",
             "septic and sextic two-ruling threefolds; degree-33 and degree-38 images",
             NUMERIC_ONLY,
-            _run_edge_threefolds,
-            note="singular loci of the images exceed the desk scale",
+            (chern(7, (12, 14, 4), 33, suffix="_septic_case"),
+             chern(6, (12, 12, 8), 38, suffix="_sextic_case"),
+             rows((3, 8, 8, 7, 2, 1, 33), (3, 8, 9, 6, 1, 1, 38)), _edge_singular_bounds),
         ),
         ExampleSpec(
             "quintic_scroll_oadp",
             "quintic threefold scroll with one apparent double point; degree-42 image",
             NUMERIC_ONLY,
-            _run_quintic_scroll_oadp,
+            (chern(5, (12, 11, 6), 42, inverse_degree=1),
+             quadrics(35, _QUINTIC_SCROLL_QUADRICS, heavy=True), rows((3, 8, 10, 5, 0, 1, 42))),
+            base=lambda: in_hyperplane(scroll((1, 2, 2))),
         ),
     ]
 }
@@ -942,11 +794,12 @@ def verify_example(
         raise KeyError(f"unknown example {name!r}; known: {sorted(CORPUS)}")
     spec = CORPUS[name]
     b = budget if isinstance(budget, StepBudget) else StepBudget(budget)
-    ctx = _Ctx(b, seed)
+    ctx = _Ctx(spec, b, seed)
     start = time.time()
     try:
-        spec.runner(ctx)
-    except (BudgetExceeded, HeavyComputation, SaturationUncertified) as e:
+        for step in spec.steps:
+            step(ctx)
+    except _UNDECIDED as e:
         ctx.checks.append(
             CheckResult(
                 "pipeline",
@@ -968,10 +821,7 @@ def verify_all(
     budget_limit: int | None = None, seed: int = 0
 ) -> list[VerificationReport]:
     """Run every corpus example (fresh budget each), sorted by name."""
-    out = []
-    for name in sorted(CORPUS):
-        out.append(verify_example(name, StepBudget(budget_limit), seed))
-    return out
+    return [verify_example(name, StepBudget(budget_limit), seed) for name in sorted(CORPUS)]
 
 
 def reports_to_text(reports: list[VerificationReport], timings: bool = False) -> str:

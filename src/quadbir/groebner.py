@@ -105,11 +105,6 @@ class _KeyCache:
         self.fn = keyf
         self.map: dict = {}
 
-    def ensure(self, e) -> None:
-        m = self.map
-        if e not in m:
-            m[e] = self.fn(e)
-
     def ensure_all(self, terms: dict) -> None:
         m = self.map
         fn = self.fn
@@ -721,119 +716,6 @@ def _certify_saturation(
 
 # ---------------------------------------------------------------------------
 # projective emptiness
-
-def hf_vanishes(
-    I: Ideal,
-    max_degree: int = 40,
-    budget: StepBudget | int | None = None,
-) -> int | None:
-    """Degree where the Hilbert function of R/I provably vanishes, else None.
-
-    Runs Buchberger on the homogeneous ideal degree by degree (pairs are
-    popped in lcm-degree order, so once every pair of degree <= d has been
-    processed the initial ideal is complete through degree d) and counts
-    standard monomials after each completed degree.  A zero count certifies
-    that I contains every form of that degree, i.e. V(I) is empty in
-    projective space.  Stops at max_degree without a verdict otherwise.
-    """
-    if not I.is_homogeneous():
-        raise ValueError("hf_vanishes needs a homogeneous ideal")
-    if I.is_zero():
-        return None
-    b = _budget(budget)
-    kc = _KeyCache(DEGREVLEX.key())
-    keyf = kc.fn
-    nvars = I.ring.nvars
-    ordered = sorted(I.generators, key=lambda g: keyf(max(g.terms, key=keyf)))
-
-    leads: list[tuple] = []
-
-    def standard_count(d: int) -> int:
-        from .hilbert import standard_monomial_count
-
-        mins: list[tuple] = []
-        for m in sorted(leads, key=mono_deg):
-            if not any(mono_divides(h, m) for h in mins):
-                mins.append(m)
-        return standard_monomial_count(mins, nvars, d)
-
-    entries: list[_Entry] = []
-    G: list[_Entry] = []
-    pairs: list[tuple] = []
-    alive: set[tuple[int, int]] = set()
-
-    def push_pair(f: _Entry, g: _Entry) -> None:
-        i, j = (f.idx, g.idx) if f.idx < g.idx else (g.idx, f.idx)
-        lcm = mono_lcm(f.lm, g.lm)
-        heapq.heappush(pairs, (mono_deg(lcm), keyf(lcm), i, j))
-        alive.add((i, j))
-
-    def add_element(terms: dict) -> None:
-        nonlocal G
-        h = _Entry(terms, kc, len(entries))
-        entries.append(h)
-        leads.append(h.lm)
-        cands = list(G)
-        lcms = {g.idx: mono_lcm(h.lm, g.lm) for g in G}
-        kept = []
-        for g in cands:
-            lg = lcms[g.idx]
-            if _coprime(h.lm, g.lm):
-                kept.append(g)
-                continue
-            if any(
-                g2 is not g and lcms[g2.idx] != lg and mono_divides(lcms[g2.idx], lg)
-                for g2 in cands
-            ):
-                continue
-            kept.append(g)
-        for pair in list(alive):
-            i, j = pair
-            gi, gj = entries[i], entries[j]
-            lij = mono_lcm(gi.lm, gj.lm)
-            if (
-                mono_divides(h.lm, lij)
-                and mono_lcm(gi.lm, h.lm) != lij
-                and mono_lcm(gj.lm, h.lm) != lij
-            ):
-                alive.discard(pair)
-        for g in kept:
-            if not _coprime(h.lm, g.lm):
-                push_pair(h, g)
-        G = [g for g in G if not mono_divides(h.lm, g.lm)]
-        G.append(h)
-
-    for terms in map(_to_int_terms, ordered):
-        b.tick()
-        red = _reduce_int(terms, G, kc, b)
-        if red:
-            add_element(red)
-            if not any(entries[-1].lm):
-                return 0
-
-    checked = -1
-    while True:
-        while pairs and (pairs[0][2], pairs[0][3]) not in alive:
-            heapq.heappop(pairs)
-        frontier = pairs[0][0] if pairs else None
-        complete_through = (frontier - 1) if frontier is not None else max_degree
-        complete_through = min(complete_through, max_degree)
-        for d in range(checked + 1, complete_through + 1):
-            if standard_count(d) == 0:
-                return d
-        checked = complete_through
-        if checked >= max_degree or frontier is None:
-            return None
-        _, _, i, j = heapq.heappop(pairs)
-        alive.discard((i, j))
-        b.tick()
-        s = _spoly_int(entries[i], entries[j])
-        red = _reduce_int(s, G, kc, b)
-        if red:
-            add_element(red)
-            if not any(entries[-1].lm):
-                return 0
-
 
 def dehomogenize(p: Poly, var: int, target: Ring) -> Poly:
     out: dict = {}

@@ -73,8 +73,3 @@ def serialize_ideal(I: Ideal, comments: list[str] | None = None) -> str:
     for g in I.generators:
         out.write(format_poly(g) + "\n")
     return out.getvalue()
-
-
-def write_ideal(I: Ideal, path: str, comments: list[str] | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_ideal(I, comments))

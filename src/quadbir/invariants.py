@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from .hilbert import _binomial_poly
+
 
 class Infeasible(ValueError):
     """A required invariant came out non-integral or out of range."""
@@ -140,34 +142,12 @@ def hilbert_poly_r4(lam: int, g: int, chi: int, a: int) -> tuple[Fraction, ...]:
         (Fraction(1 - g), 2, 3),
         (Fraction(2 * g - 3 * lam + chi - a + 31), 1, 2),
     ):
-        term = _binom_poly(shift, k)
+        term = _binomial_poly(shift, k)
         for i, cf in enumerate(term):
             coeffs[i] += qty * cf
     coeffs[1] += Fraction(-g + 2 * lam - 2 * chi + a - 21)
     coeffs[0] += Fraction(chi)
     return tuple(coeffs)
-
-
-def _binom_poly(shift: int, k: int) -> tuple[Fraction, ...]:
-    from math import factorial
-
-    out = [Fraction(1)]
-    for i in range(k):
-        c = Fraction(shift - i)
-        nxt = [Fraction(0)] * (len(out) + 1)
-        for j, v in enumerate(out):
-            nxt[j] += v * c
-            nxt[j + 1] += v
-        out = nxt
-    f = Fraction(1, factorial(k))
-    return tuple(v * f for v in out)
-
-
-def eval_poly(coeffs: Sequence[Fraction], t) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * t + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,6 @@ class RationalMap:
     def target_dim(self) -> int:
         return self.target_ring.nvars - 1
 
-    def base_ideal(self) -> Ideal:
-        return Ideal(self.source_ring, self.components)
-
 
 @dataclass
 class MapReport:

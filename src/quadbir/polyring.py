@@ -33,18 +33,9 @@ class PolyParseError(ValueError):
 # ---------------------------------------------------------------------------
 # monomial helpers (exponent tuples)
 
-def mono_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(a: Exponent, b: Exponent) -> bool:
     """True if x^a divides x^b."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_quot(b: Exponent, a: Exponent) -> Exponent:
-    """Exponent of x^b / x^a (caller guarantees divisibility)."""
-    return tuple(y - x for x, y in zip(a, b))
 
 
 def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
@@ -210,19 +201,6 @@ class Poly:
         self.ring = ring
         self.terms = terms  # owned by this instance; never mutated afterwards
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def from_terms(ring: Ring, items: Iterable[tuple[Exponent, Fraction]]) -> "Poly":
-        terms: dict = {}
-        for e, c in items:
-            c = terms.get(e, Fraction(0)) + c
-            if c:
-                terms[e] = c
-            else:
-                terms.pop(e, None)
-        return Poly(ring, terms)
-
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -256,14 +234,6 @@ class Poly:
 
     def lead_coefficient(self, order: MonomialOrder = DEGREVLEX) -> Fraction:
         return self.terms[self.lead_monomial(order)]
-
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> "Poly":
-        if not self.terms:
-            return self
-        lc = self.lead_coefficient(order)
-        if lc == 1:
-            return self
-        return Poly(self.ring, {e: c / lc for e, c in self.terms.items()})
 
     def primitive(self) -> "Poly":
         """Integer-primitive scalar multiple with positive leading content."""
@@ -412,12 +382,6 @@ class Poly:
             result = result + term
         return result
 
-    def graded_parts(self) -> dict[int, "Poly"]:
-        parts: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            parts.setdefault(mono_deg(e), {})[e] = c
-        return {d: Poly(self.ring, t) for d, t in sorted(parts.items())}
-
     # -- display -------------------------------------------------------------
 
     def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[Exponent, Fraction]]:
@@ -557,13 +521,3 @@ def format_poly(p: Poly, order: MonomialOrder = DEGREVLEX) -> str:
         return text[2:]
     return "-" + text[2:]
 
-
-def poly_arith(p: Poly, q: Poly, op: str) -> Poly:
-    """Named arithmetic entry point: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")

@@ -7,6 +7,7 @@ DATA = os.path.join(
     os.path.dirname(__file__), "..", "src", "quadbir", "data", "ideals"
 )
 QUARTIC = os.path.join(DATA, "quartic_curve_base.ideal")
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "verify_all_budget60000_seed7.json")
 
 
 def run(capsys, *argv):
@@ -88,11 +89,15 @@ def test_verify_command_and_exit_codes(capsys):
 
 def test_verify_all_is_deterministic(capsys):
     # a starved budget downgrades heavy work deterministically; two runs
-    # must produce byte-identical canonical reports
-    argv = ["--budget", "60000", "--seed", "7", "verify", "--all"]
+    # must produce byte-identical canonical reports, equal to the golden
+    # report kept in tests/data
+    argv = ["--format", "json", "--budget", "60000", "--seed", "7", "verify", "--all"]
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv)
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = fh.read()
     assert out1 == out2
+    assert out1 == golden
     assert "SKIPPED_HEAVY" in out1
 
 

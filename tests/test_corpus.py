@@ -14,8 +14,10 @@ from quadbir.corpus import (
     verify_example,
 )
 from quadbir.groebner import ideal_equal
+from quadbir.hilbert import hilbert_data
 from quadbir.ideal_io import parse_ideal_text, read_ideal, serialize_ideal
 from quadbir.polyring import PolyParseError
+from quadbir.varieties import grassmannian_plucker
 
 DATA = os.path.join(
     os.path.dirname(__file__), "..", "src", "quadbir", "data", "ideals"
@@ -114,3 +116,16 @@ def test_budget_exhaustion_keeps_finished_checks():
     assert "5001 steps" in last.expected
     assert finished == full.checks[: len(finished)]
     assert all(c.status == PASS for c in finished)
+
+
+def test_quintic_scroll_image_lies_on_35_quadrics():
+    # the image is a codimension-2 linear section of G(1,6) in P^20, so it
+    # lies on C(20, 2) - (HF(2) - 2*HF(1) + HF(0)) quadrics of P^18
+    hf = hilbert_data(grassmannian_plucker(1, 6), assume_saturated=True).hilbert_function(2)
+    assert 190 - (hf[2] - 2 * hf[1] + hf[0]) == 35
+    # under an enlarged budget the heavy kernel check runs and agrees
+    report = verify_example("quintic_scroll_oadp", budget=400_000_000)
+    [check] = [c for c in report.checks if c.name == "image_quadric_count"]
+    assert check.status == PASS
+    assert check.expected == check.computed == "35"
+    assert report.status == PASS

@@ -9,7 +9,6 @@ from quadbir.groebner import (
     buchberger,
     contains_one,
     eliminate,
-    hf_vanishes,
     ideal_equal,
     ideal_quotient,
     is_empty_projective,
@@ -188,8 +187,6 @@ def test_projective_emptiness():
     x, y, z = ring.gens()
     assert is_empty_projective(Ideal(ring, [x, y, z]))
     assert not is_empty_projective(Ideal(ring, [x, y]))
-    assert hf_vanishes(Ideal(ring, [x, y, z])) is not None
-    assert hf_vanishes(Ideal(ring, [x, y]), max_degree=8) is None
 
 
 def _saturate_by_quotients(I, x):

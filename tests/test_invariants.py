@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quadbir.hilbert import poly_eval
 from quadbir.invariants import (
     Infeasible,
     QUADRIC_FIBRATION,
@@ -10,7 +11,6 @@ from quadbir.invariants import (
     castelnuovo_bound,
     coindex_delta,
     double_point,
-    eval_poly,
     hilbert_poly_r4,
     hp_relations,
     k2_thresholds,
@@ -54,9 +54,9 @@ def test_hp_fourfold_polynomial_values():
             rng.randint(0, 10),
         )
         hp = hilbert_poly_r4(lam, g, chi, a)
-        assert eval_poly(hp, 1) == 11
-        assert eval_poly(hp, 2) == 55 - a
-        assert eval_poly(hp, 0) == chi
+        assert poly_eval(hp, 1) == 11
+        assert poly_eval(hp, 2) == 55 - a
+        assert poly_eval(hp, 0) == chi
 
 
 def test_hp_infeasible_is_flagged():

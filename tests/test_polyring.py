@@ -12,7 +12,6 @@ from quadbir.polyring import (
     Ring,
     RingMismatchError,
     format_poly,
-    poly_arith,
 )
 
 
@@ -24,18 +23,18 @@ def xy():
 
 def test_add_cancellation(xy):
     ring, x, y = xy
-    assert poly_arith(x + y, x - y, "add") == x.scale(2)
+    assert (x + y) + (x - y) == x.scale(2)
 
 
 def test_multiply_by_zero(xy):
     ring, x, y = xy
     p = ring.parse("x*y - y^2")
-    assert poly_arith(p, ring.zero(), "mul").is_zero()
+    assert (p * ring.zero()).is_zero()
 
 
 def test_difference_of_squares(xy):
     ring, x, y = xy
-    assert poly_arith(x + y, x - y, "mul") == ring.parse("x^2 - y^2")
+    assert (x + y) * (x - y) == ring.parse("x^2 - y^2")
 
 
 def test_ring_mismatch_raises(xy):
