@@ -209,7 +209,7 @@ class _Ctx:
     @cached_property
     def quadrics(self) -> list[Poly]:
         """The quadrics vanishing on the image of the quadric map."""
-        return image_forms(self.quadric_map, 2, self.budget)
+        return image_forms(self.quadric_map, 2)
 
     @cached_property
     def map(self) -> RationalMap:
@@ -322,15 +322,11 @@ def gap(a: int, provenance: str = "") -> Step:
     )
 
 
-def quadrics(n: int, provenance: str = "", heavy: bool = False) -> Step:
+def quadrics(n: int, provenance: str = "") -> Step:
     """Number of independent quadrics vanishing on the image."""
-
-    def check(ctx: _Ctx) -> CheckResult:
-        return _eq("image_quadric_count", n, len(ctx.quadrics), provenance)
-
-    if heavy:
-        return _heavy("image_quadric_count", "large exact kernel", check)
-    return lambda ctx: ctx.checks.append(check(ctx))
+    return lambda ctx: ctx.checks.append(
+        _eq("image_quadric_count", n, len(ctx.quadrics), provenance)
+    )
 
 
 def quadric_image(dim: int, deg: int, provenance: str = "") -> Step:
@@ -669,7 +665,7 @@ CORPUS: dict[str, ExampleSpec] = {
             "grassmannian_to_spinor",
             "line Grassmannian of P^4 inside a hyperplane; image the spinor tenfold",
             NUMERIC_ONLY,
-            (base(6, 5), gap(5), quadrics(10, "spinor-variety image", heavy=True),
+            (base(6, 5), gap(5), quadrics(10, "spinor-variety image"),
              rows((2, 6, 5, 5, 1, 1, 12), (3, 7, 5, 5, 1, 1, 12))),
             base=lambda: in_hyperplane(grassmannian_plucker(1, 4)),
         ),
@@ -778,7 +774,7 @@ CORPUS: dict[str, ExampleSpec] = {
             "quintic threefold scroll with one apparent double point; degree-42 image",
             NUMERIC_ONLY,
             (chern(5, (12, 11, 6), 42, inverse_degree=1),
-             quadrics(35, _QUINTIC_SCROLL_QUADRICS, heavy=True), rows((3, 8, 10, 5, 0, 1, 42))),
+             quadrics(35, _QUINTIC_SCROLL_QUADRICS), rows((3, 8, 10, 5, 0, 1, 42))),
             base=lambda: in_hyperplane(scroll((1, 2, 2))),
         ),
     ]

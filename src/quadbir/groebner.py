@@ -188,7 +188,11 @@ def _reduce_int(p: dict, reducers: Sequence[_Entry], kc: _KeyCache, budget: Step
                 else:
                     p.pop(ge, None)
         if scale_events >= 16:
-            p = _primitive_int(p) if p else p
+            # divide the unreduced part and the remainder by one common content
+            g = gcd(*p.values(), *r.values())
+            if g > 1:
+                p = {e: v // g for e, v in p.items()}
+                r = {e: v // g for e, v in r.items()}
             scale_events = 0
     return _primitive_int(r)
 
@@ -642,13 +646,6 @@ def saturate_irrelevant(
     rng = random.Random(seed)
     for attempt in range(4):
         coeffs = [rng.randint(1, 7) for _ in range(ring.nvars)]
-        ell = Poly(
-            ring,
-            {
-                tuple(1 if j == i else 0 for j in range(ring.nvars)): Fraction(c)
-                for i, c in enumerate(coeffs)
-            },
-        )
         J = _saturate_generic_linear(I, coeffs, b)
         if _certify_saturation(I, J, b, max_power):
             return J

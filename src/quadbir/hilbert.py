@@ -16,6 +16,7 @@ from math import comb
 from typing import Sequence
 
 from .groebner import Ideal, StepBudget, _budget, saturate_irrelevant
+from .linalg import rref
 from .polyring import DEGREVLEX, MonomialOrder, Poly, mono_deg, mono_divides
 
 Exponent = tuple
@@ -325,8 +326,6 @@ def graded_piece(
     I: Ideal, e: int, budget: StepBudget | int | None = None
 ) -> tuple[int, list[Poly]]:
     """Dimension and a deterministic echelon basis of the degree-e piece of I."""
-    from .linalg import rref
-
     b = _budget(budget)
     ring = I.ring
     if I.is_zero():
@@ -335,24 +334,14 @@ def graded_piece(
     nvars = ring.nvars
     monos = _degree_monomials(nvars, e)
     col = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in gb:
-        d = g.degree()
-        if d > e or not g.is_homogeneous():
-            continue
-        for shift in _degree_monomials(nvars, e - d):
-            row = [Fraction(0)] * len(monos)
-            for ge, c in g.terms.items():
-                m = tuple(x + y for x, y in zip(shift, ge))
-                row[col[m]] = c
-            rows.append(row)
-    if not rows:
-        return 0, []
-    echelon, pivots = rref(rows)
-    basis = [
-        Poly(ring, {monos[j]: c for j, c in enumerate(row) if c})
-        for row in echelon
+    rows = [
+        {col[tuple(x + y for x, y in zip(shift, ge))]: c for ge, c in g.terms.items()}
+        for g in gb
+        if g.degree() <= e and g.is_homogeneous()
+        for shift in _degree_monomials(nvars, e - g.degree())
     ]
+    echelon, _ = rref(rows)
+    basis = [Poly(ring, {monos[j]: c for j, c in row.items()}) for row in echelon]
     return len(basis), basis
 
 

@@ -1,54 +1,65 @@
-"""Small exact linear algebra over the rationals (row operations on lists)."""
+"""Small exact linear algebra over the rationals on sparse rows.
+
+A row (or vector) is a dict {column: value}; absent columns are zero.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+
+Row = dict[int, Fraction]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                row_r = mat[r]
-                mat[i] = [x - f * y for x, y in zip(mat[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+def _subtract(row: Row, f: Fraction, other: Row) -> None:
+    """row -= f * other, in place, dropping the entries that cancel."""
+    for k, v in other.items():
+        w = row.get(k, 0) - f * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
+def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    The rows come ordered by pivot, each with its entries in column order.
+    """
+    echelon: dict[int, Row] = {}  # pivot column -> row with a leading 1 there
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            pivot = echelon.get(c)
+            if pivot is None:
+                inv = 1 / row[c]
+                echelon[c] = {k: v * inv for k, v in row.items()}
+                break
+            _subtract(row, row[c], pivot)
+    pivots = sorted(echelon)
+    # back substitution, last pivot first, so each row used is already reduced
+    for c in reversed(pivots):
+        row = echelon[c]
+        for k in [k for k in row if k != c and k in echelon]:
+            _subtract(row, row[k], echelon[k])
+    return [dict(sorted(echelon[c].items())) for c in pivots], pivots
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel {v : A v = 0}, echelon-normalized."""
-    mat, pivots = rref(rows)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
+def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
+    """Basis of the right kernel {v : A v = 0} of a matrix with ncols columns.
+
+    One vector per free column f, in column order: 1 at f, 0 at the other
+    free columns, entries in column order.
+    """
+    echelon, pivots = rref(rows)
+    basis: dict[int, Row] = {f: {} for f in range(ncols)}
+    for c in pivots:
+        del basis[c]
+    # a reduced row is nonzero only at its pivot and at free columns
+    for c, row in zip(pivots, echelon):
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = -x
+    for f, v in basis.items():
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -mat[r][f]
-        basis.append(v)
-    return basis
+    return list(basis.values())

@@ -27,7 +27,7 @@ from .groebner import (
     saturate_irrelevant,
     solve_simplify,
 )
-from .hilbert import HilbertData, graded_piece
+from .hilbert import HilbertData, _degree_monomials, graded_piece
 from .linalg import kernel_basis
 from .polyring import Poly, Ring
 
@@ -152,37 +152,31 @@ def image_ideal(F: RationalMap, budget: StepBudget | int | None = None) -> Ideal
     return Ideal(F.target_ring, [Poly(F.target_ring, dict(g.terms)) for g in elim.generators])
 
 
-def image_forms(
-    F: RationalMap, degree: int, budget: StepBudget | int | None = None
-) -> list[Poly]:
+def _monomial_rows(F: RationalMap, monos: Sequence) -> dict:
+    """Coefficients of m(F) for each target monomial m: source monomial ->
+    {index of m in monos: coefficient}."""
+    rows: dict = {}
+    for j, m in enumerate(monos):
+        p = F.source_ring.one()
+        for i, k in enumerate(m):
+            for _ in range(k):
+                p = p * F.components[i]
+        for e, c in p.terms.items():
+            rows.setdefault(e, {})[j] = c
+    return rows
+
+
+def image_forms(F: RationalMap, degree: int) -> list[Poly]:
     """Degree-d forms on the target annihilating the map, by linear algebra.
 
     Returns an echelon basis of {g of degree d : g(F) == 0}; this is the
     degree-d graded piece of the image ideal.
     """
-    from .hilbert import _degree_monomials
-
-    target = F.target_ring
-    monos = _degree_monomials(target.nvars, degree)
-    comps = F.components
-    # composite source polynomials for each target monomial
-    src_monos: dict = {}
-    columns = []
-    for m in monos:
-        p = F.source_ring.one()
-        for i, k in enumerate(m):
-            for _ in range(k):
-                p = p * comps[i]
-        columns.append(p)
-        for e in p.terms:
-            src_monos.setdefault(e, len(src_monos))
-    rows = [[Fraction(0)] * len(monos) for _ in range(len(src_monos))]
-    for j, p in enumerate(columns):
-        for e, c in p.terms.items():
-            rows[src_monos[e]][j] = c
-    kern = kernel_basis(rows)
+    monos = _degree_monomials(F.target_ring.nvars, degree)
+    rows = _monomial_rows(F, monos)
     return [
-        Poly(target, {monos[i]: c for i, c in enumerate(v) if c}) for v in kern
+        Poly(F.target_ring, {monos[i]: c for i, c in v.items()})
+        for v in kernel_basis(list(rows.values()), len(monos))
     ]
 
 
@@ -441,63 +435,34 @@ def solve_inverse(
     common factor h (degree 2d-1) and returns the first echelon solution,
     or None when only the zero solution exists.
     """
-    from .hilbert import _degree_monomials
-
     src, tgt = F.source_ring, F.target_ring
     n1, N1 = src.nvars, tgt.nvars
     g_monos = _degree_monomials(N1, d)
     h_monos = _degree_monomials(n1, 2 * d - 1)
-    nunk = n1 * len(g_monos) + len(h_monos)
+    ng = n1 * len(g_monos)
+    nunk = ng + len(h_monos)
     if nunk > unknown_cap:
         raise HeavyComputation(f"{nunk} unknowns in the inverse solve")
-    # composite source polynomial for each target monomial
-    composites = []
-    for m in g_monos:
-        p = src.one()
-        for i, k in enumerate(m):
-            for _ in range(k):
-                p = p * F.components[i]
-        composites.append(p)
-    eq_index: dict = {}
-    rows_data = []  # (row, col, value)
-
-    def eq_row(i_comp: int, e) -> int:
-        key = (i_comp, e)
-        if key not in eq_index:
-            eq_index[key] = len(eq_index)
-        return eq_index[key]
-
+    # one equation per (component i, source monomial e) of G_i(F) = x_i * h
+    rows: dict = {}
+    composites = _monomial_rows(F, g_monos)
     for i in range(n1):
-        for j, p in enumerate(composites):
-            col = i * len(g_monos) + j
-            for e, c in p.terms.items():
-                rows_data.append((eq_row(i, e), col, c))
+        for e, row in composites.items():
+            rows[(i, e)] = {i * len(g_monos) + j: c for j, c in row.items()}
         for j, hm in enumerate(h_monos):
-            col = n1 * len(g_monos) + j
-            e = tuple(
-                hm[k] + (1 if k == i else 0) for k in range(n1)
-            )
-            rows_data.append((eq_row(i, e), col, Fraction(-1)))
-    mat = [[Fraction(0)] * nunk for _ in range(len(eq_index))]
-    for r, c, v in rows_data:
-        mat[r][c] += v
-    kern = kernel_basis(mat)
-    for v in kern:
-        hcoeffs = v[n1 * len(g_monos) :]
-        if not any(hcoeffs):
+            e = tuple(hm[k] + (k == i) for k in range(n1))
+            rows.setdefault((i, e), {})[ng + j] = Fraction(-1)
+    for v in kernel_basis(list(rows.values()), nunk):
+        if max(v) < ng:  # h = 0
             continue
-        comps = []
-        for i in range(n1):
-            terms = {}
-            for j, m in enumerate(g_monos):
-                c = v[i * len(g_monos) + j]
-                if c:
-                    terms[m] = c
-            comps.append(Poly(tgt, terms))
-        if all(not c for c in comps):
+        comps: list[dict] = [{} for _ in range(n1)]
+        for col, c in v.items():
+            if col < ng:
+                i, j = divmod(col, len(g_monos))
+                comps[i][g_monos[j]] = c
+        if not any(comps):
             continue
-        # fill zero components as zero polynomials of the right shape
-        return RationalMap(tgt, Ring(src.variables), tuple(comps))
+        return RationalMap(tgt, Ring(src.variables), tuple(Poly(tgt, t) for t in comps))
     return None
 
 

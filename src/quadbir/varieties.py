@@ -14,18 +14,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .groebner import Ideal
+from .maps import nonzero_minors
 from .polyring import Poly, Ring
-
-
-def _minors2(ring: Ring, matrix: list[list[Poly]]) -> list[Poly]:
-    rows, cols = len(matrix), len(matrix[0])
-    out = []
-    for r1, r2 in combinations(range(rows), 2):
-        for c1, c2 in combinations(range(cols), 2):
-            m = matrix[r1][c1] * matrix[r2][c2] - matrix[r1][c2] * matrix[r2][c1]
-            if m:
-                out.append(m)
-    return out
 
 
 def rational_normal_curve(e: int, prefix: str = "x") -> Ideal:
@@ -35,7 +25,7 @@ def rational_normal_curve(e: int, prefix: str = "x") -> Ideal:
     ring = Ring([f"{prefix}{i}" for i in range(e + 1)])
     x = ring.gens()
     matrix = [[x[i] for i in range(e)], [x[i + 1] for i in range(e)]]
-    return Ideal(ring, _minors2(ring, matrix))
+    return Ideal(ring, nonzero_minors(matrix, 2, ring))
 
 
 def veronese(n: int, d: int = 2, prefix: str = "x") -> Ideal:
@@ -54,7 +44,7 @@ def veronese(n: int, d: int = 2, prefix: str = "x") -> Ideal:
             index[(j, i)] = k
             k += 1
     matrix = [[x[index[(i, j)]] for j in range(n + 1)] for i in range(n + 1)]
-    return Ideal(ring, _dedupe(_minors2(ring, matrix)))
+    return Ideal(ring, _dedupe(list(nonzero_minors(matrix, 2, ring))))
 
 
 def segre(a: int, b: int, prefix: str = "x") -> Ideal:
@@ -63,7 +53,7 @@ def segre(a: int, b: int, prefix: str = "x") -> Ideal:
     ring = Ring([f"{prefix}{i}" for i in range((a + 1) * (b + 1))])
     x = ring.gens()
     matrix = [[x[i * (b + 1) + j] for j in range(b + 1)] for i in range(a + 1)]
-    return Ideal(ring, _minors2(ring, matrix))
+    return Ideal(ring, nonzero_minors(matrix, 2, ring))
 
 
 def scroll(degrees: tuple[int, ...] | list[int], prefix: str = "x") -> Ideal:
@@ -82,7 +72,7 @@ def scroll(degrees: tuple[int, ...] | list[int], prefix: str = "x") -> Ideal:
         top += block[:-1]
         bottom += block[1:]
         offset += d + 1
-    return Ideal(ring, _minors2(ring, [top, bottom]))
+    return Ideal(ring, nonzero_minors([top, bottom], 2, ring))
 
 
 def segre_product(dims: tuple[int, ...] | list[int], prefix: str = "x") -> Ideal:

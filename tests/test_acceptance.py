@@ -190,7 +190,7 @@ def test_criterion_6_property_suites():
 def test_criterion_7_heavy_work_reported_not_faked():
     t0 = time.time()
     ok = True
-    for name in ("grassmannian_to_spinor", "edge_threefolds_oadp", "quintic_scroll_oadp"):
+    for name in ("elliptic_quintic_cremona", "edge_threefolds_oadp", "line_times_quadric_section"):
         report = verify_example(name)
         ok &= report.status == PASS
         ok &= any(c.status == SKIPPED_HEAVY for c in report.checks)

@@ -28,12 +28,12 @@ def test_corpus_is_complete():
     assert len(CORPUS) == 23
     classes = {spec.feasibility for spec in CORPUS.values()}
     assert classes == {FULL, FORWARD_ONLY, NUMERIC_ONLY}
-    heavy_defaults = [
+    numeric_only = [
         "grassmannian_to_spinor",
         "edge_threefolds_oadp",
         "quintic_scroll_oadp",
     ]
-    for name in heavy_defaults:
+    for name in numeric_only:
         assert CORPUS[name].feasibility == NUMERIC_ONLY
 
 
@@ -123,8 +123,8 @@ def test_quintic_scroll_image_lies_on_35_quadrics():
     # lies on C(20, 2) - (HF(2) - 2*HF(1) + HF(0)) quadrics of P^18
     hf = hilbert_data(grassmannian_plucker(1, 6), assume_saturated=True).hilbert_function(2)
     assert 190 - (hf[2] - 2 * hf[1] + hf[0]) == 35
-    # under an enlarged budget the heavy kernel check runs and agrees
-    report = verify_example("quintic_scroll_oadp", budget=400_000_000)
+    # the exact kernel check runs at the default budget and agrees
+    report = verify_example("quintic_scroll_oadp")
     [check] = [c for c in report.checks if c.name == "image_quadric_count"]
     assert check.status == PASS
     assert check.expected == check.computed == "35"

@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +8,10 @@ from quadbir.groebner import (
     BudgetExceeded,
     Ideal,
     StepBudget,
+    _Entry,
+    _KeyCache,
+    _reduce_int,
+    _to_int_terms,
     buchberger,
     contains_one,
     eliminate,
@@ -17,7 +23,7 @@ from quadbir.groebner import (
     saturate,
     saturate_irrelevant,
 )
-from quadbir.polyring import DEGREVLEX, LEX, MonomialOrder, Ring, _drl_key
+from quadbir.polyring import DEGREVLEX, LEX, MonomialOrder, Poly, Ring, _drl_key
 
 
 @pytest.fixture
@@ -232,3 +238,34 @@ def test_variable_last_key_is_permuted_degrevlex_key():
         key = MonomialOrder.degrevlex(last=v).key()
         for e in monomials:
             assert key(e) == _drl_key(tuple(e[i] for i in perm))
+
+
+def test_integer_division_matches_fraction_division_up_to_scalar():
+    # _reduce_int rescales its working polynomial as it goes; the remainder
+    # it has collected must be rescaled with it, or the result stops being
+    # a positive multiple of the normal form reduce() computes
+    ring = Ring(["x0", "x1", "x2", "x3"])
+    quad, sextic = (
+        [e for e in itertools.product(range(d + 1), repeat=4) if sum(e) == d]
+        for d in (2, 6)
+    )
+    nonzero = [c for c in range(-30, 31) if c]
+
+    def random_poly(rng, monos, lo, hi):
+        terms = rng.sample(monos, rng.randint(lo, hi))
+        return Poly(ring, {e: Fraction(rng.choice(nonzero)) for e in terms})
+
+    for seed in range(250):
+        rng = random.Random(seed)
+        divisors = [random_poly(rng, quad, 2, 5) for _ in range(rng.randint(2, 4))]
+        f = random_poly(rng, sextic, 8, 25)
+        expected = reduce(f, divisors).terms
+        kc = _KeyCache(DEGREVLEX.key())
+        entries = [_Entry(_to_int_terms(g), kc, i) for i, g in enumerate(divisors)]
+        got = _reduce_int(_to_int_terms(f), entries, kc, StepBudget())
+        assert set(got) == set(expected), seed
+        if got:
+            e = next(iter(got))
+            scale = got[e] / expected[e]
+            assert scale > 0, seed
+            assert all(got[e] == scale * c for e, c in expected.items()), seed
