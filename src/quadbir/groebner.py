@@ -114,9 +114,10 @@ class _KeyCache:
 
 
 class _Entry:
-    """Basis element with cached leading data (positive leading coefficient)."""
+    """Basis element with cached leading data (positive leading coefficient);
+    mask has bit i set when variable i occurs in the leading monomial."""
 
-    __slots__ = ("terms", "lm", "lc", "lmkey", "idx")
+    __slots__ = ("terms", "lm", "lc", "lmkey", "idx", "mask")
 
     def __init__(self, terms: dict, kc: _KeyCache, idx: int):
         kc.ensure_all(terms)
@@ -128,6 +129,7 @@ class _Entry:
         self.lc = terms[lm]
         self.lmkey = kc.map[lm]
         self.idx = idx
+        self.mask = sum(1 << i for i, x in enumerate(lm) if x)
 
 
 def _reduce_int(p: dict, reducers: Sequence[_Entry], kc: _KeyCache, budget: StepBudget) -> dict:
@@ -222,6 +224,24 @@ def _coprime(a, b) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
+def _gm_partners(lm, leads: Sequence) -> list[int]:
+    """Positions i of the leads whose pair with a new leading monomial lm
+    survives the Gebauer-Moeller criteria on new pairs: lm and leads[i]
+    share a variable, and lcm(lm, leads[i]) is a minimal element of the
+    set of all lcm(lm, leads[j]).  Equal lcms do not exclude each other.
+
+    A strict divisor has lower degree, so the distinct lcms are scanned by
+    ascending degree, each tested only against the minimal ones kept.
+    """
+    lcms = [mono_lcm(lm, g) for g in leads]
+    minimal: list = []
+    for l in sorted(set(lcms), key=mono_deg):
+        if not any(mono_divides(m, l) for m in minimal):
+            minimal.append(l)
+    keep = set(minimal)
+    return [i for i, (g, l) in enumerate(zip(leads, lcms)) if l in keep and not _coprime(lm, g)]
+
+
 def _buchberger_entries(
     polys: Iterable[dict], kc: _KeyCache, budget: StepBudget
 ) -> list[_Entry]:
@@ -240,41 +260,25 @@ def _buchberger_entries(
 
     def update(h: _Entry) -> None:
         nonlocal G
-        # prune candidate new pairs (h, g) by the lcm-divisibility criterion,
-        # then by the product criterion
-        cands = list(G)
-        lcms = {g.idx: mono_lcm(h.lm, g.lm) for g in G}
-        kept: list[_Entry] = []
-        for g in cands:
-            lg = lcms[g.idx]
-            if _coprime(h.lm, g.lm):
-                kept.append(g)  # marked; dropped below by product criterion
+        hlm, hmask = h.lm, h.mask
+        # chain criterion on old pairs; h.lm can divide lcm(gi, gj) only if
+        # its variables occur in gi.lm or gj.lm, which the masks test first
+        dead = []
+        for pair in alive:
+            gi, gj = entries[pair[0]], entries[pair[1]]
+            if hmask & ~(gi.mask | gj.mask):
                 continue
-            dominated = False
-            for g2 in cands:
-                if g2 is g:
-                    continue
-                l2 = lcms[g2.idx]
-                if l2 != lg and mono_divides(l2, lg):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(g)
-        # chain criterion on old pairs
-        for pair in list(alive):
-            i, j = pair
-            gi, gj = entries[i], entries[j]
             lij = mono_lcm(gi.lm, gj.lm)
             if (
-                mono_divides(h.lm, lij)
-                and mono_lcm(gi.lm, h.lm) != lij
-                and mono_lcm(gj.lm, h.lm) != lij
+                mono_divides(hlm, lij)
+                and mono_lcm(gi.lm, hlm) != lij
+                and mono_lcm(gj.lm, hlm) != lij
             ):
-                alive.discard(pair)
-        for g in kept:
-            if not _coprime(h.lm, g.lm):
-                push_pair(h, g)
-        G = [g for g in G if not mono_divides(h.lm, g.lm)]
+                dead.append(pair)
+        alive.difference_update(dead)
+        for i in _gm_partners(hlm, [g.lm for g in G]):
+            push_pair(h, G[i])
+        G = [g for g in G if not mono_divides(hlm, g.lm)]
         G.append(h)
 
     for terms in polys:

@@ -6,6 +6,7 @@ A row (or vector) is a dict {column: value}; absent columns are zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 Row = dict[int, Fraction]
 
@@ -20,12 +21,15 @@ def _subtract(row: Row, f: Fraction, other: Row) -> None:
             del row[k]
 
 
-def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+def echelon(rows: Iterable[dict]) -> dict:
+    """Forward elimination of a stream of rows: {pivot column: row}.
 
-    The rows come ordered by pivot, each with its entries in column order.
+    Each row is reduced by the rows kept so far; unless it reduces to zero,
+    it is kept, scaled to a leading 1 at its smallest column (its pivot).
+    Columns may be any totally ordered keys, such as exponent tuples.  The
+    kept rows span the same space as the input rows.
     """
-    echelon: dict[int, Row] = {}  # pivot column -> row with a leading 1 there
+    echelon: dict = {}
     for row in rows:
         row = {c: Fraction(v) for c, v in row.items() if v}
         while row:
@@ -36,13 +40,22 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
                 echelon[c] = {k: v * inv for k, v in row.items()}
                 break
             _subtract(row, row[c], pivot)
-    pivots = sorted(echelon)
+    return echelon
+
+
+def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    The rows come ordered by pivot, each with its entries in column order.
+    """
+    reduced = echelon(rows)
+    pivots = sorted(reduced)
     # back substitution, last pivot first, so each row used is already reduced
     for c in reversed(pivots):
-        row = echelon[c]
-        for k in [k for k in row if k != c and k in echelon]:
-            _subtract(row, row[k], echelon[k])
-    return [dict(sorted(echelon[c].items())) for c in pivots], pivots
+        row = reduced[c]
+        for k in [k for k in row if k != c and k in reduced]:
+            _subtract(row, row[k], reduced[k])
+    return [dict(sorted(reduced[c].items())) for c in pivots], pivots
 
 
 def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:

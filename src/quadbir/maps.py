@@ -28,7 +28,7 @@ from .groebner import (
     solve_simplify,
 )
 from .hilbert import HilbertData, _degree_monomials, graded_piece
-from .linalg import kernel_basis
+from .linalg import echelon, kernel_basis
 from .polyring import Poly, Ring
 
 # flags used in map reports
@@ -221,18 +221,30 @@ def nonzero_minors(mat: Sequence[Sequence[Poly]], k: int, ring: Ring):
                 yield d
 
 
+def _minor_span(polys: Sequence[Poly], k: int, ring: Ring) -> list[Poly]:
+    """Polynomials spanning, over QQ, the space of the k x k minors of the
+    Jacobian of polys, so they generate the same ideal as those minors.
+
+    The minors stream into one exact echelon on monomial columns and are
+    never held together; a minor in the span of earlier ones is dropped.
+    The echelon rows come ordered by pivot.
+    """
+    minors = nonzero_minors(jacobian(polys, ring), k, ring)
+    return [Poly(ring, row) for _, row in sorted(echelon(m.terms for m in minors).items())]
+
+
 def minor_ideal(
     I: Ideal, codim: int, cap: int = 4000
 ) -> Ideal:
-    """I plus all codim x codim minors of the Jacobian of its generators."""
+    """I plus a QQ-basis of the span of the codim x codim Jacobian minors
+    of its generators; the same ideal as I plus all those minors."""
     ring = I.ring
     count = _comb(len(I.generators), codim) * _comb(ring.nvars, codim)
     if count > cap:
         raise HeavyComputation(
             f"{count} Jacobian minors exceed the cap of {cap}"
         )
-    minors = nonzero_minors(jacobian(I.generators, ring), codim, ring)
-    return Ideal(ring, itertools.chain(I.generators, minors))
+    return Ideal(ring, I.generators + tuple(_minor_span(I.generators, codim, ring)))
 
 
 def _comb(n: int, k: int) -> int:
@@ -297,8 +309,7 @@ def smooth_certificate(
             raise HeavyComputation(
                 f"chart {ring.variables[var]}: {nminors} minors after simplification"
             )
-        minors = nonzero_minors(jacobian(sg, sring), cprime, sring)
-        if not contains_one(Ideal(sring, itertools.chain(sg, minors)), b):
+        if not contains_one(Ideal(sring, sg + _minor_span(sg, cprime, sring)), b):
             return False
     return True
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from operator import le
 from typing import Callable, Iterable, Sequence
 
 Exponent = tuple  # tuple[int, ...], one entry per ring variable
@@ -35,11 +36,11 @@ class PolyParseError(ValueError):
 
 def mono_divides(a: Exponent, b: Exponent) -> bool:
     """True if x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Exponent) -> int:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from quadbir.groebner import (
     StepBudget,
     _Entry,
     _KeyCache,
+    _gm_partners,
     _reduce_int,
     _to_int_terms,
     buchberger,
@@ -23,11 +26,14 @@ from quadbir.groebner import (
     saturate,
     saturate_irrelevant,
 )
+from quadbir.ideal_io import read_ideal
 from quadbir.polyring import DEGREVLEX, LEX, MonomialOrder, Poly, Ring, _drl_key
+from quadbir.varieties import elliptic_quintic_pfaffian
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "quadbir", "data", "ideals")
 
 
-@pytest.fixture
-def twisted_cubic():
+def _twisted_cubic():
     ring = Ring(["x0", "x1", "x2", "x3"])
     return Ideal(
         ring,
@@ -37,6 +43,11 @@ def twisted_cubic():
             ring.parse("x2^2 - x1*x3"),
         ],
     )
+
+
+@pytest.fixture
+def twisted_cubic():
+    return _twisted_cubic()
 
 
 def test_reduce_basic():
@@ -269,3 +280,100 @@ def test_integer_division_matches_fraction_division_up_to_scalar():
             scale = got[e] / expected[e]
             assert scale > 0, seed
             assert all(got[e] == scale * c for e, c in expected.items()), seed
+
+
+def _quadratic_partners(lm, leads):
+    """The new-pair rule as a plain double loop: keep g unless its lead is
+    coprime to lm, or some lcm(lm, g2) strictly divides lcm(lm, g)."""
+    lcms = [tuple(max(a, b) for a, b in zip(lm, g)) for g in leads]
+    kept = []
+    for i, g in enumerate(leads):
+        if all(a == 0 or b == 0 for a, b in zip(lm, g)):
+            continue
+        if any(l2 != lcms[i] and all(a <= b for a, b in zip(l2, lcms[i])) for l2 in lcms):
+            continue
+        kept.append(i)
+    return kept
+
+
+def test_gm_partners_match_quadratic_rule():
+    equal_lcms = coprime = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        lm = tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+        leads = [
+            tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+            for _ in range(rng.randint(0, 14))
+        ]
+        lcms = [tuple(map(max, lm, g)) for g in leads]
+        equal_lcms += len(lcms) > len(set(lcms))
+        coprime += any(all(a == 0 or b == 0 for a, b in zip(lm, g)) for g in leads)
+        assert _gm_partners(lm, leads) == _quadratic_partners(lm, leads), seed
+    # the random sets exercise ties and the product criterion
+    assert equal_lcms > 50 and coprime > 50
+
+
+def _line_times_quadric_base():
+    return read_ideal(os.path.join(DATA, "line_times_quadric_base.ideal"))
+
+
+@pytest.mark.parametrize(
+    "make, order, steps",
+    [
+        (_twisted_cubic, DEGREVLEX, 7),
+        (_twisted_cubic, LEX, 7),
+        (elliptic_quintic_pfaffian, DEGREVLEX, 20),
+        (_line_times_quadric_base, DEGREVLEX, 118),
+        (_line_times_quadric_base, LEX, 558),
+    ],
+    ids=["twisted_cubic-degrevlex", "twisted_cubic-lex", "elliptic_quintic-degrevlex",
+         "line_times_quadric_base-degrevlex", "line_times_quadric_base-lex"],
+)
+def test_buchberger_step_counts_pinned(make, order, steps):
+    # counts recorded with the original double-loop pair update; the lex
+    # run of line_times_quadric_base is one where the chain criterion
+    # changes the count
+    budget = StepBudget(10**9)
+    buchberger(make(), order, budget)
+    assert budget.used == steps
+
+
+def _primitive_set(polys, key):
+    """Each polynomial (a term dict) as sorted (exponent, integer
+    coefficient) pairs, primitive with a positive leading coefficient
+    under the order key."""
+    out = set()
+    for terms in polys:
+        den = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+        ints = {e: int(Fraction(c) * den) for e, c in terms.items()}
+        g = math.gcd(*ints.values())
+        if ints[max(ints, key=key)] < 0:
+            g = -g
+        out.add(tuple(sorted((e, c // g) for e, c in ints.items())))
+    return out
+
+
+@pytest.mark.parametrize("order, name", [(LEX, "lex"), (DEGREVLEX, "grevlex")], ids=["lex", "grevlex"])
+def test_buchberger_matches_sympy_groebner(order, name):
+    sympy = pytest.importorskip("sympy")
+    key = order.key()
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        ring = Ring([f"x{i}" for i in range(n)])
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            d = rng.randint(1, 3)
+            monos = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+            terms = rng.sample(monos, rng.randint(1, min(4, len(monos))))
+            gens.append(Poly(ring, {e: Fraction(rng.choice((-3, -2, -1, 1, 2, 5))) for e in terms}))
+        xs = sympy.symbols(ring.variables)
+        exprs = [
+            sum(int(c) * sympy.prod(x**k for x, k in zip(xs, e)) for e, c in g.terms.items())
+            for g in gens
+        ]
+        ref = sympy.groebner(exprs, *xs, order=name, domain="QQ")
+        expected = _primitive_set((dict(p.as_poly(*xs).terms()) for p in ref.exprs), key)
+        got = _primitive_set((g.terms for g in buchberger(gens, order)), key)
+        assert got == expected, seed

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadbir.linalg import kernel_basis, rref
+from quadbir.linalg import echelon, kernel_basis, rref
 
 
 def _random_matrix(seed):
@@ -98,3 +98,21 @@ def test_empty_and_zero_matrices():
     assert kernel_basis([], 3) == [{0: 1}, {1: 1}, {2: 1}]
     assert kernel_basis([{}], 2) == [{0: 1}, {1: 1}]
     assert kernel_basis([{0: Fraction(2)}], 1) == []
+
+
+def test_echelon_streams_rows_with_exponent_columns():
+    # column c becomes an exponent tuple whose order differs from c's
+    def column(c):
+        return (c % 3, 2 - c // 3)
+
+    for s in SEEDS:
+        rows, ncols = _random_matrix(s)
+        kept = echelon({column(c): v for c, v in row.items()} for row in rows)
+        assert len(kept) == _dense_rank(rows, ncols), s
+        for pivot, row in kept.items():
+            assert min(row) == pivot and row[pivot] == 1, s
+            assert all(isinstance(x, Fraction) and x for x in row.values())
+        # the kept rows lie in the span of the input rows
+        index = {column(c): c for c in range(ncols)}
+        back = [{index[e]: v for e, v in row.items()} for row in kept.values()]
+        assert _dense_rank(rows + back, ncols) == _dense_rank(rows, ncols), s

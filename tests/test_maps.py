@@ -17,6 +17,7 @@ from quadbir.maps import (
     jacobian,
     map_from_ideal,
     map_type,
+    minor_ideal,
     nonzero_minors,
     secant_ideal,
     singular_locus,
@@ -279,3 +280,41 @@ def test_memoized_minors_match_cofactor_expansion(ideal, k):
     got = [list(d.terms.items()) for d in nonzero_minors(jac, k, ring)]
     assert expected
     assert got == expected
+
+
+def _coefficient_rank(polys):
+    """Rank over QQ of the polynomials' coefficient vectors, by plain dense
+    elimination on their monomials."""
+    monos = sorted({e for p in polys for e in p.terms})
+    mat = [[p.terms.get(e, 0) for e in monos] for p in polys]
+    rank = 0
+    for c in range(len(monos)):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] / mat[rank][c]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize(
+    "ideal, k",
+    [
+        (rational_normal_curve(3), 2),
+        (elliptic_quintic_pfaffian(), 3),
+        (_load("quartic_curve_image.ideal"), 2),
+    ],
+    ids=["twisted_cubic", "elliptic_quintic", "singular_quartic"],
+)
+def test_minor_ideal_is_the_span_of_the_minors(ideal, k):
+    ring = ideal.ring
+    raw = list(nonzero_minors(jacobian(ideal.generators, ring), k, ring))
+    J = minor_ideal(ideal, k)
+    n = len(ideal.generators)
+    assert J.generators[:n] == ideal.generators
+    span = J.generators[n:]
+    assert len(span) == _coefficient_rank(raw) == _coefficient_rank(raw + list(span))
+    assert ideal_equal(J, Ideal(ring, ideal.generators + tuple(raw)))
