@@ -21,7 +21,7 @@ for label, I in [
     ("Segre threefold", segre(1, 2)),
     ("elliptic quintic", elliptic_quintic_pfaffian()),
 ]:
-    hd = hilbert_data(I, assume_saturated=True)
+    hd = hilbert_data(I)
     print(
         f"  {label:18s} dim {hd.dim_proj}  degree {hd.degree}  "
         f"genus {hd.sectional_genus}  hp = {hd.hp_str()}"

@@ -39,11 +39,11 @@ for g in S.generators:
     print("   ", g)
 print("equals the recorded ideal:", ideal_equal(S, S_recorded))
 
-hS = hilbert_data(S_recorded, assume_saturated=True)
+hS = hilbert_data(S_recorded)
 print("image Hilbert polynomial:", hS.hp_str())
 
 sing = singular_locus(S_recorded, 2)
-hsing = hilbert_data(sing, assume_saturated=True)
+hsing = hilbert_data(sing)
 print("singular scheme Hilbert polynomial:", hsing.hp_str())
 
 G = solve_inverse(F, 1)

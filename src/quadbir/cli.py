@@ -43,7 +43,7 @@ from .maps import (
     ambient_gap,
     image_ideal,
     map_from_ideal,
-    singular_locus,
+    minor_ideal,
 )
 from .polyring import LEX, DEGREVLEX, PolyParseError, format_poly
 
@@ -67,7 +67,7 @@ def _hd_dict(hd) -> dict:
 
 def cmd_hilbert(args) -> int:
     I = read_ideal(args.ideal_file)
-    hd = hilbert_data(I, budget=StepBudget(args.budget), seed=args.seed)
+    hd = hilbert_data(I, budget=StepBudget(args.budget))
     text = (
         f"dim {hd.dim_proj}  degree {hd.degree}  "
         f"sectional_genus {hd.sectional_genus}  chi {hd.chi}\n"
@@ -96,7 +96,7 @@ def cmd_map(args) -> int:
         "ambient_gap": ambient_gap(F),
         "components": [format_poly(c) for c in F.components],
     }
-    base = hilbert_data(I, budget=budget, seed=args.seed)
+    base = hilbert_data(I, budget=budget)
     out["base_locus"] = _hd_dict(base)
     status = 0
     if args.image or args.sing:
@@ -105,16 +105,15 @@ def cmd_map(args) -> int:
             out["image"] = {
                 "generators": [format_poly(g) for g in S.generators],
             }
-            hs = hilbert_data(S, budget=budget, seed=args.seed)
+            hs = hilbert_data(S, budget=budget)
             out["image"].update(_hd_dict(hs))
-            if args.sing:
+            if args.sing and S.is_zero():
+                # a dominant map: the image is all of P^N, which is smooth
+                out["singular_locus"] = {"dim": -1}
+            elif args.sing:
                 codim = S.ring.nvars - 1 - hs.dim_proj
-                sing = singular_locus(S, codim, budget, seed=args.seed)
-                if sing.generators:
-                    hsing = hilbert_data(sing, budget=budget, seed=args.seed)
-                    out["singular_locus"] = _hd_dict(hsing)
-                else:
-                    out["singular_locus"] = {"dim": -1}
+                hsing = hilbert_data(minor_ideal(S, codim), budget=budget)
+                out["singular_locus"] = _hd_dict(hsing)
         except (BudgetExceeded, HeavyComputation) as e:
             out["image"] = {"status": "SKIPPED_HEAVY", "reason": str(e)}
     text_lines = [

@@ -716,7 +716,7 @@ def _certify_saturation(
 
 
 # ---------------------------------------------------------------------------
-# projective emptiness
+# affine charts
 
 def dehomogenize(p: Poly, var: int, target: Ring) -> Poly:
     out: dict = {}
@@ -728,7 +728,7 @@ def dehomogenize(p: Poly, var: int, target: Ring) -> Poly:
 
 def solve_simplify(
     gens: Sequence[Poly], ring: Ring, budget: StepBudget | int | None = None
-) -> tuple[list[Poly], Ring, list[Poly]]:
+) -> tuple[list[Poly], Ring]:
     """Eliminate solved variables from an affine system.
 
     Repeatedly looks for a Groebner-basis element of the form c*x_i + g
@@ -736,18 +736,16 @@ def solve_simplify(
     x_i = -g/c everywhere, and drops the variable.  The resulting system
     presents an isomorphic variety (each step is a graph projection).
 
-    Returns (generators, ring, chain) where chain[i] expresses the i-th
-    original variable as a polynomial in the final ring.
+    Returns the generators and their ring.
     """
     b = _budget(budget)
     gens = [g for g in gens if g]
-    chain = [ring.var(v) for v in ring.variables]
     while ring.nvars > 1 and gens:
         if any(g.is_constant() and g for g in gens):
             break
         gb = list(buchberger(gens, DEGREVLEX, b))
         if any(g.is_constant() and g for g in gb):
-            return gb, ring, chain
+            return gb, ring
         solved = None
         for g in gb:
             for i in range(ring.nvars):
@@ -758,7 +756,7 @@ def solve_simplify(
             if solved:
                 break
         if not solved:
-            return gb, ring, chain
+            return gb, ring
         i, g, unit = solved
         c = g.terms[unit]
         newring = Ring(ring.variables[:i] + ring.variables[i + 1 :])
@@ -772,29 +770,6 @@ def solve_simplify(
         ]
         gens = [h.substitute(step) for h in gb if h is not g]
         gens = [h for h in gens if h]
-        chain = [p.substitute(step) for p in chain]
         ring = newring
-    return gens, ring, chain
+    return gens, ring
 
-
-def is_empty_projective(
-    I: Ideal, budget: StepBudget | int | None = None
-) -> bool:
-    """True iff V(I) has no points in projective space over an algebraically
-    closed field: every affine chart contains 1 in the dehomogenized ideal."""
-    b = _budget(budget)
-    ring = I.ring
-    if I.is_zero():
-        return False
-    for var in range(ring.nvars):
-        names = ring.variables[:var] + ring.variables[var + 1 :]
-        chart = Ring(names)
-        gens = [dehomogenize(g, var, chart) for g in I.generators]
-        gens = [g for g in gens if g]
-        if any(g.is_constant() and g for g in gens):
-            continue
-        if not gens:
-            return False
-        if not contains_one(Ideal(chart, gens), b):
-            return False
-    return True

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .groebner import Ideal, StepBudget, _budget, saturate_irrelevant
+from .groebner import Ideal, StepBudget, _budget
 from .linalg import rref
 from .polyring import DEGREVLEX, MonomialOrder, Poly, mono_deg, mono_divides
 
@@ -257,21 +257,19 @@ class HilbertData:
 def hilbert_data(
     I: Ideal,
     order: MonomialOrder = DEGREVLEX,
-    assume_saturated: bool = False,
     budget: StepBudget | int | None = None,
-    seed: int = 0,
 ) -> HilbertData:
-    """Full Hilbert data of a homogeneous ideal.
+    """Full Hilbert data of a homogeneous ideal, read from R/I as given.
 
-    The caller is expected to pass a saturated ideal; unless
-    `assume_saturated` is set, the input is defensively saturated by the
-    irrelevant ideal first (which never changes a saturated ideal).
+    `numerator`, `hilbert_function` and `regularity_witness` belong to the
+    ideal as given.  `hp`, `dim_proj`, `degree`, `sectional_genus` and
+    `chi` are invariants of the scheme V(I): the saturation of I by the
+    irrelevant ideal differs from I only in finitely many degrees, so it
+    has the same Hilbert polynomial and need not be computed.
     """
     if not I.is_homogeneous():
         raise ValueError("hilbert_data needs a homogeneous ideal")
     b = _budget(budget)
-    if not assume_saturated and not I.is_zero():
-        I = saturate_irrelevant(I, budget=b, seed=seed)
     nvars = I.ring.nvars
     if I.is_zero():
         monos: list[Exponent] = []
@@ -296,8 +294,12 @@ def hilbert_data(
         s += 1
     krull = nvars - s
     dim_proj = krull - 1
+    # HF(m) = sum_j q_j * binom(m - j + krull - 1, krull - 1) is a polynomial
+    # in m once m >= j - krull + 1 for every j
+    m0 = max(len(q) - krull, 0)
     if krull == 0 or not any(q):
-        return HilbertData(numerator, nvars, (Fraction(0),), -1, None, None, None, 0)
+        # finite length: an m-primary ideal's HF vanishes from degree m0 on
+        return HilbertData(numerator, nvars, (Fraction(0),), -1, None, None, None, m0)
     degree = sum(q)
     k = krull - 1  # degree of the Hilbert polynomial
     hp = [Fraction(0)] * (k + 1)
@@ -307,7 +309,6 @@ def hilbert_data(
         term = _binomial_poly(k - j, k)
         for idx, c in enumerate(term):
             hp[idx] += qj * c
-    m0 = max(len(q) - 1 - k, 0)
     chi = poly_eval(hp, 0)
     genus: int | None = None
     if dim_proj >= 1:

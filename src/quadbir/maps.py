@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,15 +27,9 @@ from .groebner import (
     saturate_irrelevant,
     solve_simplify,
 )
-from .hilbert import HilbertData, _degree_monomials, graded_piece
+from .hilbert import _degree_monomials, graded_piece
 from .linalg import echelon, kernel_basis
 from .polyring import Poly, Ring
-
-# flags used in map reports
-ASSUMPTION3_VIOLATED = "ASSUMPTION3_VIOLATED"
-NOT_LIFTABLE_CERTIFICATE = "NOT_LIFTABLE_CERTIFICATE"
-SKIPPED_HEAVY = "SKIPPED_HEAVY"
-
 
 class HeavyComputation(RuntimeError):
     """The requested symbolic computation exceeds the configured size cap."""
@@ -75,19 +69,6 @@ class RationalMap:
     @property
     def target_dim(self) -> int:
         return self.target_ring.nvars - 1
-
-
-@dataclass
-class MapReport:
-    """Aggregated certified facts about one quadratic map."""
-
-    a: int | None = None
-    base_locus: HilbertData | None = None
-    image_degree: int | None = None
-    inverse_degree: int | None = None
-    composition_identity: bool | None = None
-    singular_locus: HilbertData | None = None
-    flags: set = field(default_factory=set)
 
 
 def _target_ring(n_components: int, prefix: str = "y") -> Ring:
@@ -294,7 +275,7 @@ def smooth_certificate(
         base = [p for p in (dehomogenize(g, var, chart) for g in I.generators) if p]
         if any(g.is_constant() and g for g in base):
             continue
-        sg, sring, _ = solve_simplify(base, chart, b)
+        sg, sring = solve_simplify(base, chart, b)
         if any(g.is_constant() and g for g in sg):
             continue  # chart misses the variety
         if not sg:

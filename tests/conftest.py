@@ -76,10 +76,8 @@ def _checked_buchberger(ideal, order=DEGREVLEX, budget=None):
     return gb
 
 
-def _checked_hilbert_data(I, order=DEGREVLEX, assume_saturated=False, budget=None, seed=0):
-    hd = _orig_hilbert_data(
-        I, order=order, assume_saturated=assume_saturated, budget=budget, seed=seed
-    )
+def _checked_hilbert_data(I, order=DEGREVLEX, budget=None):
+    hd = _orig_hilbert_data(I, order=order, budget=budget)
     verify_hilbert(I, order, hd)
     _stats["hilbert_checked"] += 1
     return hd

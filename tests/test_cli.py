@@ -2,6 +2,8 @@ import json
 import os
 
 from quadbir.cli import main
+from quadbir.ideal_io import serialize_ideal
+from quadbir.varieties import rational_normal_curve
 
 DATA = os.path.join(
     os.path.dirname(__file__), "..", "src", "quadbir", "data", "ideals"
@@ -41,6 +43,18 @@ def test_map_command(capsys):
     assert "ambient gap 2" in out
     assert '"degree": 4' in out
     assert "singular locus" in out
+
+
+def test_map_sing_of_a_dominant_map(tmp_path, capsys):
+    # the twisted cubic's three quadrics map P^3 onto P^2: the image ideal
+    # is zero and the image, all of P^2, is smooth
+    path = tmp_path / "twisted_cubic.ideal"
+    path.write_text(serialize_ideal(rational_normal_curve(3)))
+    code, out, _ = run(capsys, "--format", "json", "map", str(path), "--sing")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["image"]["generators"] == [] and payload["image"]["dim"] == 2
+    assert payload["singular_locus"] == {"dim": -1}
 
 
 def test_enumerate_commands(capsys):

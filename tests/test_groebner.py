@@ -20,7 +20,6 @@ from quadbir.groebner import (
     eliminate,
     ideal_equal,
     ideal_quotient,
-    is_empty_projective,
     membership,
     reduce,
     saturate,
@@ -197,13 +196,6 @@ def test_budget_exceeded_is_distinct():
     ]
     with pytest.raises(BudgetExceeded):
         buchberger(Ideal(ring, gens), DEGREVLEX, StepBudget(5))
-
-
-def test_projective_emptiness():
-    ring = Ring(["x", "y", "z"])
-    x, y, z = ring.gens()
-    assert is_empty_projective(Ideal(ring, [x, y, z]))
-    assert not is_empty_projective(Ideal(ring, [x, y]))
 
 
 def _saturate_by_quotients(I, x):

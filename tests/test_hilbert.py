@@ -1,8 +1,10 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from quadbir.groebner import Ideal
+from quadbir.groebner import Ideal, saturate_irrelevant
 from quadbir.hilbert import (
     graded_piece,
     graded_piece_dim,
@@ -67,13 +69,13 @@ def test_series_numerator_complete_intersection(quartic_image):
 
 
 def test_hilbert_data_twisted_cubic(twisted_cubic):
-    hd = hilbert_data(twisted_cubic, assume_saturated=True)
+    hd = hilbert_data(twisted_cubic)
     assert (hd.dim_proj, hd.degree, hd.sectional_genus, hd.chi) == (1, 3, 0, 1)
     assert hd.hp_str() == "3*t + 1"
 
 
 def test_hilbert_data_quartic_image(quartic_image):
-    hd = hilbert_data(quartic_image, assume_saturated=True)
+    hd = hilbert_data(quartic_image)
     assert (hd.dim_proj, hd.degree) == (4, 4)
     assert hd.hp == (
         Fraction(1),
@@ -93,7 +95,7 @@ def test_hilbert_data_line_with_embedded_structure():
         "y1*y2 + 2*y0*y3", "2*y0*y2 + y1*y3",
     ]
     I = Ideal(ring, [ring.parse(t) for t in gens])
-    hd = hilbert_data(I, assume_saturated=True)
+    hd = hilbert_data(I)
     assert hd.hp_str() == "t + 5"
     assert (hd.dim_proj, hd.degree) == (1, 1)
 
@@ -107,16 +109,67 @@ def test_hilbert_data_thirteen_quadrics():
         "line_times_quadric_base.ideal",
     )
     I = read_ideal(path)
-    hd = hilbert_data(I, assume_saturated=True)
+    hd = hilbert_data(I)
     assert (hd.dim_proj, hd.degree, hd.sectional_genus, hd.chi) == (3, 8, 2, 1)
     # Euler characteristic agrees with the threefold Hilbert relation
     assert hp_relations(3, 8, 4, 0, lam=8, g=2)["chi"] == hd.chi
 
 
+def _scheme_invariants(hd):
+    return hd.hp, hd.dim_proj, hd.degree, hd.sectional_genus, hd.chi
+
+
+def _seeded_quadrics(seed):
+    """Two seeded quadrics of P^3: generically an elliptic quartic curve."""
+    rng = random.Random(seed)
+    ring = Ring(["x0", "x1", "x2", "x3"])
+    monos = [m for m in itertools.product(range(3), repeat=4) if sum(m) == 2]
+    return Ideal(
+        ring,
+        [
+            sum((ring.monomial(m).scale(rng.randint(-3, 3)) for m in monos), ring.zero())
+            for _ in range(2)
+        ],
+    )
+
+
+def _times_power_of_m(I, k):
+    """I * m^k for the irrelevant ideal m: same scheme, not saturated."""
+    ring = I.ring
+    monos = [m for m in itertools.product(range(k + 1), repeat=ring.nvars) if sum(m) == k]
+    return Ideal(ring, [g * ring.monomial(m) for g in I.generators for m in monos])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hilbert_data_needs_no_saturation(seed):
+    # I and I * m^k differ only in low degrees, so they share the Hilbert
+    # polynomial with the saturation; only the numerator tells them apart
+    for k in (0, 1, 2):
+        I = _times_power_of_m(_seeded_quadrics(seed), k)
+        given, saturated = hilbert_data(I), hilbert_data(saturate_irrelevant(I))
+        assert _scheme_invariants(given) == _scheme_invariants(saturated)
+        assert given.dim_proj == 1
+        assert (given.numerator == saturated.numerator) == (k == 0)
+        hf = given.hilbert_function(given.regularity_witness + 2)
+        assert hf[given.regularity_witness :] == [
+            given.hp_value(m) for m in range(given.regularity_witness, len(hf))
+        ]
+
+
+def test_m_primary_ideal_is_the_empty_scheme():
+    ring = Ring(["x", "y", "z"])
+    hd = hilbert_data(_times_power_of_m(Ideal(ring, [ring.one()]), 2))
+    assert hd.dim_proj == -1 and hd.degree is None
+    # R/m^2 has Hilbert function 1, 3, 0, 0, ... and the witness says where
+    # it reaches the zero polynomial
+    assert hd.regularity_witness == 2
+    assert hd.hilbert_function(4) == [1, 3, 0, 0, 0]
+
+
 def test_order_invariance(twisted_cubic, quartic_image):
     for I in (twisted_cubic, quartic_image, veronese(2, 2)):
-        a = hilbert_data(I, DEGREVLEX, assume_saturated=True)
-        b = hilbert_data(I, LEX, assume_saturated=True)
+        a = hilbert_data(I, DEGREVLEX)
+        b = hilbert_data(I, LEX)
         assert a.hp == b.hp
         assert (a.dim_proj, a.degree, a.sectional_genus) == (
             b.dim_proj,
@@ -126,7 +179,7 @@ def test_order_invariance(twisted_cubic, quartic_image):
 
 
 def test_hilbert_function_oracle(twisted_cubic):
-    hd = hilbert_data(twisted_cubic, assume_saturated=True)
+    hd = hilbert_data(twisted_cubic)
     init = initial_ideal(twisted_cubic)
     monos = [g.lead_monomial() for g in init.generators]
     hf = hd.hilbert_function(hd.regularity_witness + 3)
@@ -143,14 +196,14 @@ def test_generic_section_first_difference():
 
     rng = random.Random(5)
     for I in (rational_normal_curve(3), veronese(2, 2)):
-        hd = hilbert_data(I, assume_saturated=True)
+        hd = hilbert_data(I)
         ring = I.ring
         coeffs = [rng.randint(1, 5) for _ in range(ring.nvars)]
         ell = ring.zero()
         for c, v in zip(coeffs, ring.variables):
             ell = ell + ring.var(v).scale(c)
         sliced = Ideal(ring, list(I.generators) + [ell])
-        hs = hilbert_data(sliced, seed=3)
+        hs = hilbert_data(sliced)
         assert hs.hp == poly_difference(hd.hp)
 
 
