@@ -447,7 +447,7 @@ def singular_dim(codim: int, cap: int, expected: int, provenance: str) -> Step:
 
     def check(ctx: _Ctx) -> CheckResult:
         h = hilbert_data(minor_ideal(ctx.image, codim, cap), budget=ctx.budget)
-        return _eq("image_singular_dim", expected, h.dim_proj)
+        return _eq("image_singular_dim", expected, h.dim_proj, provenance)
 
     return _heavy("image_singular_dim", provenance, check)
 

@@ -12,21 +12,22 @@ a distinct `BudgetExceeded` error instead of hanging.
 
 from __future__ import annotations
 
-import heapq
 import os
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress, count, repeat
 from math import gcd
+from operator import and_, attrgetter, itemgetter, lshift, not_, rshift, sub
 from typing import Iterable, Sequence
 
 from .polyring import (
     DEGREVLEX,
+    Exponent,
     MonomialOrder,
     Poly,
     Ring,
-    mono_deg,
     mono_divides,
-    mono_lcm,
 )
 
 DEFAULT_STEP_BUDGET = 8_000_000
@@ -69,13 +70,128 @@ def _budget(budget: StepBudget | int | None) -> StepBudget:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free integer polynomials: dict {exponent tuple: int}
+# packed monomials
+#
+# Inside the Buchberger kernel a monomial is one Python int (Bachmann and
+# Schoenemann, ISSAC 1998).  Each field holds `bits` value bits under one
+# guard bit, which is zero in every monomial the kernel holds.  From the
+# least significant end:
+#
+#   field 0          the total degree;
+#   fields 1..n      the exponents (the E part), placed as the order needs;
+#   fields n+1..2n   prefix sums of the E part inside each degrevlex block
+#                    (the O part; lex has none).
+#
+# Read from the top, the O part (for lex, the E part) is an order-equivalent
+# form of `MonomialOrder.key()`: degrevlex compares the degree and then the
+# sums that leave out the last variables one by one.  So comparing two ints
+# compares the monomials, multiplying monomials is adding ints, and x^a
+# divides x^b iff (b - a) & guard == 0: a field that underflows borrows from
+# the field above, and either one ends up with its guard bit set.
+#
+# Every field is at most the degree, so the kernel keeps each degree at most
+# `fmax` and checks that before it multiplies; a run that would exceed it
+# raises `_Overflow` and is restarted with twice as many bits per field.
 
-def _to_int_terms(p: Poly) -> dict:
+_PAIR_BITS = 32  # width of each basis index in a pair record
+
+
+class _Overflow(ArithmeticError):
+    """A product or lcm would not fit its packed fields."""
+
+
+class _Packing:
+    """The packed layout of one monomial order in n variables."""
+
+    __slots__ = (
+        "bits", "full", "fmax", "shifts", "emask", "eguard", "guard",
+        "blocks", "rall", "oshift", "width",
+    )
+
+    def __init__(self, order: MonomialOrder, nvars: int, bits: int):
+        n = nvars
+        w = bits + 1
+        self.bits = bits
+        self.full = (1 << w) - 1
+        self.fmax = (1 << bits) - 1
+        if order.kind == "lex":
+            pos = [n - i for i in range(n)]
+            spans = []
+        elif order.kind == "degrevlex":
+            v = order.last
+            perm = list(range(n))
+            if v is not None and v < n:
+                perm = perm[:v] + perm[v + 1 :] + [v]
+            pos = [0] * n
+            for t, i in enumerate(perm):
+                pos[i] = 1 + t
+            spans = [(1, n)]
+        else:
+            k = min(order.block, n)
+            pos = [n - k + 1 + i if i < k else 1 + i - k for i in range(n)]
+            spans = [(a, length) for a, length in ((1, n - k), (n - k + 1, k)) if length]
+        ones = lambda a, length: sum(1 << (w * f) for f in range(a, a + length))
+        self.shifts = tuple(w * p for p in pos)
+        self.emask = ones(1, n) * self.full
+        self.eguard = ones(1, n) << bits
+        fields = 2 * n + 1 if spans else n + 1
+        self.guard = ones(0, fields) << bits
+        self.width = w * fields
+        self.rall = ones(0, n)
+        self.oshift = w * n
+        self.blocks = tuple((ones(a, length) * self.full, ones(0, length)) for a, length in spans)
+
+    def complete(self, e: int) -> int:
+        """The monomial whose E part is e: adds the O part and the degree."""
+        prod = e * self.rall
+        deg = (prod >> self.oshift) & self.full
+        if deg > self.fmax:
+            raise _Overflow(deg)
+        o = 0
+        for bmask, r in self.blocks:
+            o |= (e & bmask) * r & bmask
+        return (o << self.oshift) | e | deg
+
+    def pack(self, e: Exponent) -> int:
+        if sum(e) > self.fmax:
+            raise _Overflow(e)
+        return self.complete(sum(map(lshift, e, self.shifts)))
+
+    def unpack(self, m: int) -> Exponent:
+        return tuple(map(and_, map(rshift, repeat(m), self.shifts), repeat(self.fmax)))
+
+    def lcm_e(self, a: int, b: int) -> int:
+        """The E part of lcm(a, b): the fieldwise maximum, without branches."""
+        ea = a & self.emask
+        eb = b & self.emask
+        ge = ((ea | self.eguard) - eb) & self.eguard  # guard set where ea >= eb
+        m = ge - (ge >> self.bits)
+        return (ea & m) | (eb & ~m)
+
+
+def _widening(order: MonomialOrder, nvars: int, degree: int, budget: StepBudget, run):
+    """run(packing) with fields sized from the input degree; a run that
+    overflows them is restarted with twice the bits and the budget it had
+    at the start, so the step count is that of the wider run alone."""
+    bits = max(8, 4 * degree).bit_length()
+    used = budget.used
+    while True:
+        try:
+            return run(_Packing(order, nvars, bits))
+        except _Overflow:
+            budget.used = used
+            bits *= 2
+
+
+# ---------------------------------------------------------------------------
+# fraction-free integer polynomials: dict {packed monomial: int}
+
+def _to_int_terms(p: Poly, P: _Packing) -> dict:
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    out = {e: int(c * den) for e, c in p.terms.items()}
+    pack = P.pack
+    out = {pack(e): int(c * den) for e, c in p.terms.items()}
     return _primitive_int(out)
 
 
@@ -96,67 +212,53 @@ def _from_int_terms(ring: Ring, terms: dict) -> Poly:
     return Poly(ring, {e: Fraction(v) for e, v in terms.items()})
 
 
-class _KeyCache:
-    """Memoized monomial-order keys, so max() runs on a C-level dict lookup."""
-
-    __slots__ = ("fn", "map")
-
-    def __init__(self, keyf):
-        self.fn = keyf
-        self.map: dict = {}
-
-    def ensure_all(self, terms: dict) -> None:
-        m = self.map
-        fn = self.fn
-        for e in terms:
-            if e not in m:
-                m[e] = fn(e)
-
-
 class _Entry:
-    """Basis element with cached leading data (positive leading coefficient);
-    mask has bit i set when variable i occurs in the leading monomial."""
+    """Basis element: leading monomial and coefficient (made positive), the
+    remaining terms, and the largest degree of any term.  Takes ownership
+    of the terms dict."""
 
-    __slots__ = ("terms", "lm", "lc", "lmkey", "idx", "mask")
+    __slots__ = ("lm", "lc", "tail", "idx", "maxdeg")
 
-    def __init__(self, terms: dict, kc: _KeyCache, idx: int):
-        kc.ensure_all(terms)
-        lm = max(terms, key=kc.map.__getitem__)
+    def __init__(self, terms: dict, idx: int, P: _Packing):
+        lm = max(terms)
         if terms[lm] < 0:
             terms = {e: -v for e, v in terms.items()}
-        self.terms = terms
+        self.maxdeg = max(map(and_, terms, repeat(P.full)))
         self.lm = lm
-        self.lc = terms[lm]
-        self.lmkey = kc.map[lm]
+        self.lc = terms.pop(lm)
+        self.tail = terms
         self.idx = idx
-        self.mask = sum(1 << i for i, x in enumerate(lm) if x)
 
 
-def _reduce_int(p: dict, reducers: Sequence[_Entry], kc: _KeyCache, budget: StepBudget) -> dict:
-    """Full normal form of p modulo reducers, up to a positive scalar."""
-    p = dict(p)
-    kc.ensure_all(p)
-    keymap = kc.map
-    keyfn = kc.fn
+def _first_divisor(lm: int, leads: list, guard: int):
+    """Position of the first lead dividing lm, or None."""
+    hits = compress(count(), map(not_, map(and_, map(sub, repeat(lm), leads), repeat(guard))))
+    return next(hits, None)
+
+
+def _reduce_int(p: dict, reducers: Sequence[_Entry], P: _Packing, budget: StepBudget) -> dict:
+    """Full normal form of p modulo reducers, up to a positive scalar.
+    Consumes p.
+
+    The terms still to reduce are a dict with a heap of their monomials; a
+    monomial cancelled after it was pushed stays in the heap and is skipped.
+    """
+    heap = [-e for e in p]
+    heapify(heap)
+    leads = [g.lm for g in reducers]
+    guard, full, fmax = P.guard, P.full, P.fmax
     r: dict = {}
     scale_events = 0
-    while p:
-        lm = max(p, key=keymap.__getitem__)
-        c = p.pop(lm)
-        hit = None
-        for g in reducers:
-            glm = g.lm
-            ok = True
-            for a, b in zip(glm, lm):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                hit = g
-                break
-        if hit is None:
+    while heap:
+        lm = -heappop(heap)
+        c = p.pop(lm, 0)
+        if not c:
+            continue
+        k = _first_divisor(lm, leads, guard)
+        if k is None:
             r[lm] = c
             continue
+        hit = reducers[k]
         budget.tick()
         m = gcd(c, hit.lc)
         a = hit.lc // m
@@ -167,28 +269,21 @@ def _reduce_int(p: dict, reducers: Sequence[_Entry], kc: _KeyCache, budget: Step
             for e in r:
                 r[e] *= a
             scale_events += 1
-        shift = tuple(x - y for x, y in zip(lm, hit.lm))
-        if any(shift):
-            for ge, gv in hit.terms.items():
-                if ge == hit.lm:
-                    continue
-                e = tuple(x + y for x, y in zip(shift, ge))
-                v = p.get(e, 0) - b * gv
+        shift = lm - hit.lm
+        if (shift & full) + hit.maxdeg > fmax:
+            raise _Overflow(lm)
+        for ge, gv in hit.tail.items():
+            e = ge + shift
+            v = p.get(e)
+            if v is None:
+                p[e] = -b * gv
+                heappush(heap, -e)
+            else:
+                v -= b * gv
                 if v:
                     p[e] = v
-                    if e not in keymap:
-                        keymap[e] = keyfn(e)
                 else:
-                    p.pop(e, None)
-        else:
-            for ge, gv in hit.terms.items():
-                if ge == hit.lm:
-                    continue
-                v = p.get(ge, 0) - b * gv
-                if v:
-                    p[ge] = v
-                else:
-                    p.pop(ge, None)
+                    del p[e]
         if scale_events >= 16:
             # divide the unreduced part and the remainder by one common content
             g = gcd(*p.values(), *r.values())
@@ -199,137 +294,145 @@ def _reduce_int(p: dict, reducers: Sequence[_Entry], kc: _KeyCache, budget: Step
     return _primitive_int(r)
 
 
-def _spoly_int(f: _Entry, g: _Entry) -> dict:
-    lcm = mono_lcm(f.lm, g.lm)
+def _spoly_int(f: _Entry, g: _Entry, lcm: int, P: _Packing) -> dict:
+    """S-polynomial of f and g, whose leading monomials have lcm `lcm`."""
     m = gcd(f.lc, g.lc)
     cf = g.lc // m
     cg = f.lc // m
-    sf = tuple(x - y for x, y in zip(lcm, f.lm))
-    sg = tuple(x - y for x, y in zip(lcm, g.lm))
-    out: dict = {}
-    for e, v in f.terms.items():
-        e2 = tuple(x + y for x, y in zip(sf, e))
-        out[e2] = out.get(e2, 0) + cf * v
-    for e, v in g.terms.items():
-        e2 = tuple(x + y for x, y in zip(sg, e))
-        w = out.get(e2, 0) - cg * v
+    sf = lcm - f.lm
+    sg = lcm - g.lm
+    if (sf & P.full) + f.maxdeg > P.fmax or (sg & P.full) + g.maxdeg > P.fmax:
+        raise _Overflow(lcm)
+    out = {e + sf: cf * v for e, v in f.tail.items()}
+    for e, v in g.tail.items():
+        e += sg
+        w = out.get(e, 0) - cg * v
         if w:
-            out[e2] = w
+            out[e] = w
         else:
-            out.pop(e2, None)
+            del out[e]
     return out
 
 
-def _coprime(a, b) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def _gm_partners(lm, leads: Sequence) -> list[int]:
+def _gm_partners(lm: int, leads: Sequence[int], P: _Packing) -> list[tuple[int, int]]:
     """Positions i of the leads whose pair with a new leading monomial lm
-    survives the Gebauer-Moeller criteria on new pairs: lm and leads[i]
-    share a variable, and lcm(lm, leads[i]) is a minimal element of the
-    set of all lcm(lm, leads[j]).  Equal lcms do not exclude each other.
+    survives the Gebauer-Moeller criteria on new pairs, each with the E part
+    of its lcm: lm and leads[i] share a variable, and lcm(lm, leads[i]) is a
+    minimal element of the set of all lcm(lm, leads[j]).  Equal lcms do not
+    exclude each other.
 
-    A strict divisor has lower degree, so the distinct lcms are scanned by
-    ascending degree, each tested only against the minimal ones kept.
+    A strict divisor is a smaller packed int, so the distinct lcms are
+    scanned in ascending order, each tested only against the minimal ones
+    kept.  Coprime leads are those whose lcm is their product.
     """
-    lcms = [mono_lcm(lm, g) for g in leads]
+    lcm_e, emask, eguard = P.lcm_e, P.emask, P.eguard
+    lcms = [lcm_e(lm, g) for g in leads]
     minimal: list = []
-    for l in sorted(set(lcms), key=mono_deg):
-        if not any(mono_divides(m, l) for m in minimal):
+    for l in sorted(set(lcms)):
+        if 0 not in map(and_, map(sub, repeat(l), minimal), repeat(eguard)):
             minimal.append(l)
     keep = set(minimal)
-    return [i for i, (g, l) in enumerate(zip(leads, lcms)) if l in keep and not _coprime(lm, g)]
+    le = lm & emask
+    return [
+        (i, l)
+        for i, (g, l) in enumerate(zip(leads, lcms))
+        if l in keep and l != le + (g & emask)
+    ]
 
 
-def _buchberger_entries(
-    polys: Iterable[dict], kc: _KeyCache, budget: StepBudget
-) -> list[_Entry]:
-    """Gebauer-Moeller installation of Buchberger's algorithm."""
+def _buchberger_entries(polys: Iterable[dict], P: _Packing, budget: StepBudget) -> list[_Entry]:
+    """Gebauer-Moeller installation of Buchberger's algorithm.
+
+    A pair record is one int: from the top, the degree of the lcm, the
+    packed lcm, the basis indices i < j, and a dead bit.  The heap pops by
+    degree, then order, then indices.  A pair the chain criterion removes
+    has its dead bit set in place, which keeps the heap ordered, and is
+    skipped when popped.
+    """
     entries: list[_Entry] = []
     G: list[_Entry] = []
-    pairs: list[tuple] = []  # heap of (deg lcm, lcm key, i, j)
-    alive: set[tuple[int, int]] = set()
-    keyf = kc.fn
-
-    def push_pair(f: _Entry, g: _Entry) -> None:
-        i, j = (f.idx, g.idx) if f.idx < g.idx else (g.idx, f.idx)
-        lcm = mono_lcm(f.lm, g.lm)
-        heapq.heappush(pairs, (mono_deg(lcm), keyf(lcm), i, j))
-        alive.add((i, j))
+    pairs: list[int] = []
+    live = 0
+    ib = _PAIR_BITS
+    pb = 2 * ib + 1
+    low = (1 << ib) - 1
+    mono = (1 << P.width) - 1
+    full, guard, emask = P.full, P.guard, P.emask
+    lcm_e = P.lcm_e
+    chain_mask = (guard << pb) | 1
 
     def update(h: _Entry) -> None:
-        nonlocal G
-        hlm, hmask = h.lm, h.mask
-        # chain criterion on old pairs; h.lm can divide lcm(gi, gj) only if
-        # its variables occur in gi.lm or gj.lm, which the masks test first
+        nonlocal G, live
+        hlm = h.lm
+        # chain criterion on live pairs: h.lm divides lcm(gi, gj), tested on
+        # the records themselves, and neither lcm with h equals lcm(gi, gj)
+        hits = map(not_, map(and_, map(sub, pairs, repeat(hlm << pb)), repeat(chain_mask)))
         dead = []
-        for pair in alive:
-            gi, gj = entries[pair[0]], entries[pair[1]]
-            if hmask & ~(gi.mask | gj.mask):
-                continue
-            lij = mono_lcm(gi.lm, gj.lm)
-            if (
-                mono_divides(hlm, lij)
-                and mono_lcm(gi.lm, hlm) != lij
-                and mono_lcm(gj.lm, hlm) != lij
-            ):
-                dead.append(pair)
-        alive.difference_update(dead)
-        for i in _gm_partners(hlm, [g.lm for g in G]):
-            push_pair(h, G[i])
-        G = [g for g in G if not mono_divides(hlm, g.lm)]
+        for k in compress(count(), hits):
+            x = pairs[k]
+            lij = (x >> pb) & emask
+            gi, gj = entries[(x >> (ib + 1)) & low], entries[(x >> 1) & low]
+            if lcm_e(gi.lm, hlm) != lij and lcm_e(gj.lm, hlm) != lij:
+                dead.append(k)
+        for k in dead:
+            pairs[k] |= 1
+        live -= len(dead)
+        j = h.idx
+        for pos, l in _gm_partners(hlm, [g.lm for g in G], P):
+            l = P.complete(l)
+            i = G[pos].idx
+            heappush(pairs, ((((l & full) << P.width | l) << ib | i) << ib | j) << 1)
+            live += 1
+        G = [g for g in G if (g.lm - hlm) & guard]
         G.append(h)
 
     for terms in polys:
         if not terms:
             continue
         budget.tick()
-        red = _reduce_int(terms, G, kc, budget)
+        red = _reduce_int(terms, G, P, budget)
         if red:
-            h = _Entry(red, kc, len(entries))
+            h = _Entry(red, len(entries), P)
             entries.append(h)
             update(h)
 
-    while alive:
+    while live:
         budget.tick()
-        _, _, i, j = heapq.heappop(pairs)
-        if (i, j) not in alive:
+        x = heappop(pairs)
+        if x & 1:
             continue
-        alive.discard((i, j))
-        f, g = entries[i], entries[j]
-        s = _spoly_int(f, g)
-        red = _reduce_int(s, G, kc, budget)
+        live -= 1
+        f, g = entries[(x >> (ib + 1)) & low], entries[(x >> 1) & low]
+        s = _spoly_int(f, g, (x >> pb) & mono, P)
+        red = _reduce_int(s, G, P, budget)
         if red:
-            h = _Entry(red, kc, len(entries))
+            h = _Entry(red, len(entries), P)
             entries.append(h)
             update(h)
-            if not any(h.lm):
+            if not h.lm:
                 break  # basis contains a unit
     return G
 
 
-def _reduced_basis(G: list[_Entry], kc: _KeyCache, budget: StepBudget) -> list[dict]:
-    """Minimalize and tail-reduce; unique reduced basis up to scaling."""
-    keyf = kc.fn
-    G = sorted(G, key=lambda g: g.lmkey)
+def _reduced_basis(G: list[_Entry], P: _Packing, budget: StepBudget) -> list[dict]:
+    """Minimalize and tail-reduce; unique reduced basis up to scaling, as
+    dicts {exponent tuple: int} sorted by leading monomial."""
+    guard = P.guard
     minimal: list[_Entry] = []
-    for g in G:
-        if not any(mono_divides(h.lm, g.lm) for h in minimal):
+    for g in sorted(G, key=attrgetter("lm")):
+        if all((g.lm - h.lm) & guard for h in minimal):
             minimal.append(g)
-    out: list[dict] = []
+    out = []
     for g in minimal:
         others = [h for h in minimal if h is not g]
-        red = _reduce_int(g.terms, others, kc, budget)
-        out.append(red)
-    result = []
-    for terms in out:
-        lm = max(terms, key=keyf)
-        if terms[lm] < 0:
-            terms = {e: -v for e, v in terms.items()}
-        result.append(terms)
-    result.sort(key=lambda t: keyf(max(t, key=keyf)))
-    return result
+        red = _reduce_int({g.lm: g.lc, **g.tail}, others, P, budget)
+        lm = max(red)
+        if red[lm] < 0:
+            red = {e: -v for e, v in red.items()}
+        out.append((lm, red))
+    out.sort(key=itemgetter(0))
+    unpack = P.unpack
+    return [{unpack(e): v for e, v in red.items()} for _, red in out]
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +563,16 @@ def buchberger(
     if not gens:
         return ()
     b = _budget(budget)
-    kc = _KeyCache(order.key())
-    keyf = kc.fn
-    # stable sort by leading key; each input is converted to integer terms
-    # only when the loop reaches it, so no second copy of the inputs exists
+    keyf = order.key()
+    # stable sort by leading key; each input is packed only when the loop
+    # reaches it, so no second copy of the inputs exists
     ordered = sorted(gens, key=lambda g: keyf(max(g.terms, key=keyf)))
-    G = _buchberger_entries(map(_to_int_terms, ordered), kc, b)
-    reduced = _reduced_basis(G, kc, b)
+
+    def run(P: _Packing) -> list[dict]:
+        G = _buchberger_entries((_to_int_terms(g, P) for g in ordered), P, b)
+        return _reduced_basis(G, P, b)
+
+    reduced = _widening(order, ring.nvars, max(g.degree() for g in gens), b, run)
     return tuple(_from_int_terms(ring, t) for t in reduced)
 
 
@@ -480,9 +586,13 @@ def membership(
         return False
     b = _budget(budget)
     gb = ideal.groebner(DEGREVLEX, b)
-    kc = _KeyCache(DEGREVLEX.key())
-    entries = [_Entry(_to_int_terms(g), kc, i) for i, g in enumerate(gb)]
-    return not _reduce_int(_to_int_terms(f), entries, kc, b)
+
+    def run(P: _Packing) -> bool:
+        entries = [_Entry(_to_int_terms(g, P), i, P) for i, g in enumerate(gb)]
+        return not _reduce_int(_to_int_terms(f, P), entries, P, b)
+
+    degree = max(g.degree() for g in (f, *gb))
+    return _widening(DEGREVLEX, f.ring.nvars, degree, b, run)
 
 
 def contains_one(ideal: Ideal, budget: StepBudget | int | None = None) -> bool:

@@ -11,14 +11,24 @@ import pytest
 
 import quadbir.groebner as groebner
 import quadbir.hilbert as hilbert
-from quadbir.groebner import Ideal, StepBudget, _Entry, _KeyCache, _reduce_int, _spoly_int, _to_int_terms
+from quadbir.groebner import Ideal, StepBudget, _Entry, _reduce_int, _to_int_terms, _widening
 from quadbir.hilbert import standard_monomial_count
-from quadbir.polyring import DEGREVLEX, mono_deg, mono_divides
+from quadbir.polyring import DEGREVLEX, Poly, mono_deg, mono_divides, mono_lcm
 
 _orig_buchberger = groebner.buchberger
 _orig_hilbert_data = hilbert.hilbert_data
 
 _stats = {"gb_checked": 0, "spolys": 0, "hilbert_checked": 0}
+
+
+def _spoly(f, g, order):
+    """S-polynomial of f and g in Poly arithmetic on exponent tuples, so that
+    it shares no code with the kernel's packed monomials."""
+    lf, lg = f.lead_monomial(order), g.lead_monomial(order)
+    lcm = mono_lcm(lf, lg)
+    sf = tuple(a - b for a, b in zip(lcm, lf))
+    sg = tuple(a - b for a, b in zip(lcm, lg))
+    return Poly(f.ring, {sf: g.terms[lg]}) * f - Poly(g.ring, {sg: f.terms[lf]}) * g
 
 
 def verify_basis(ideal, order, gb) -> int:
@@ -27,23 +37,29 @@ def verify_basis(ideal, order, gb) -> int:
     number of S-polynomials checked."""
     if not gb:
         return 0
-    kc = _KeyCache(order.key())
-    check_budget = StepBudget(None)
-    entries = [_Entry(_to_int_terms(g), kc, i) for i, g in enumerate(gb)]
-    spolys = 0
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            s = _spoly_int(entries[i], entries[j])
-            assert not _reduce_int(s, entries, kc, check_budget), (
-                f"S-polynomial of basis elements {i}, {j} does not reduce to zero"
-            )
-            spolys += 1
+    gb = list(gb)
     gens = ideal.generators if isinstance(ideal, Ideal) else [g for g in ideal if g]
-    for g in gens:
-        assert not _reduce_int(_to_int_terms(g), entries, kc, check_budget), (
-            "input generator does not reduce to zero against the basis"
-        )
-    return spolys
+    check_budget = StepBudget(None)
+
+    def run(P):
+        entries = [_Entry(_to_int_terms(g, P), i, P) for i, g in enumerate(gb)]
+        spolys = 0
+        for i in range(len(gb)):
+            for j in range(i + 1, len(gb)):
+                s = _to_int_terms(_spoly(gb[i], gb[j], order), P)
+                assert not _reduce_int(s, entries, P, check_budget), (
+                    f"S-polynomial of basis elements {i}, {j} does not reduce to zero"
+                )
+                spolys += 1
+        for g in gens:
+            assert not _reduce_int(_to_int_terms(g, P), entries, P, check_budget), (
+                "input generator does not reduce to zero against the basis"
+            )
+        return spolys
+
+    # an S-polynomial has at most twice the degree of the basis
+    degree = 2 * max(g.degree() for g in (*gb, *gens))
+    return _widening(order, gb[0].ring.nvars, degree, check_budget, run)
 
 
 def verify_hilbert(I, order, hd) -> None:

@@ -11,9 +11,12 @@ from quadbir.corpus import (
     NUMERIC_ONLY,
     PASS,
     SKIPPED_HEAVY,
+    ExampleSpec,
+    _Ctx,
+    singular_dim,
     verify_example,
 )
-from quadbir.groebner import ideal_equal
+from quadbir.groebner import StepBudget, ideal_equal
 from quadbir.hilbert import hilbert_data
 from quadbir.ideal_io import parse_ideal_text, read_ideal, serialize_ideal
 from quadbir.polyring import PolyParseError
@@ -116,6 +119,18 @@ def test_budget_exhaustion_keeps_finished_checks():
     assert "5001 steps" in last.expected
     assert finished == full.checks[: len(finished)]
     assert all(c.status == PASS for c in finished)
+
+
+def test_decided_singular_dim_keeps_its_provenance():
+    # the quartic fourfold in P^6 is singular along a curve; a decided
+    # check carries the provenance text its SKIPPED_HEAVY entry would carry
+    spec = ExampleSpec("quartic_fourfold", "singular locus probe", FULL, (),
+                       image="quartic_curve_image.ideal")
+    ctx = _Ctx(spec, StepBudget(400_000_000), 0)
+    singular_dim(2, 4000, 1, "codimension-2 minor scheme in P^6")(ctx)
+    [check] = ctx.checks
+    assert (check.name, check.status, check.computed) == ("image_singular_dim", PASS, "1")
+    assert check.provenance == "codimension-2 minor scheme in P^6"
 
 
 def test_quintic_scroll_image_lies_on_35_quadrics():

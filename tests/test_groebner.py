@@ -11,9 +11,12 @@ from quadbir.groebner import (
     Ideal,
     StepBudget,
     _Entry,
-    _KeyCache,
+    _Overflow,
+    _Packing,
+    _buchberger_entries,
     _gm_partners,
     _reduce_int,
+    _reduced_basis,
     _to_int_terms,
     buchberger,
     contains_one,
@@ -263,9 +266,10 @@ def test_integer_division_matches_fraction_division_up_to_scalar():
         divisors = [random_poly(rng, quad, 2, 5) for _ in range(rng.randint(2, 4))]
         f = random_poly(rng, sextic, 8, 25)
         expected = reduce(f, divisors).terms
-        kc = _KeyCache(DEGREVLEX.key())
-        entries = [_Entry(_to_int_terms(g), kc, i) for i, g in enumerate(divisors)]
-        got = _reduce_int(_to_int_terms(f), entries, kc, StepBudget())
+        P = _Packing(DEGREVLEX, 4, 4)
+        entries = [_Entry(_to_int_terms(g, P), i, P) for i, g in enumerate(divisors)]
+        got = _reduce_int(_to_int_terms(f, P), entries, P, StepBudget())
+        got = {P.unpack(e): c for e, c in got.items()}
         assert set(got) == set(expected), seed
         if got:
             e = next(iter(got))
@@ -301,7 +305,10 @@ def test_gm_partners_match_quadratic_rule():
         lcms = [tuple(map(max, lm, g)) for g in leads]
         equal_lcms += len(lcms) > len(set(lcms))
         coprime += any(all(a == 0 or b == 0 for a, b in zip(lm, g)) for g in leads)
-        assert _gm_partners(lm, leads) == _quadratic_partners(lm, leads), seed
+        P = _Packing(DEGREVLEX, n, 4)
+        got = _gm_partners(P.pack(lm), [P.pack(g) for g in leads], P)
+        assert [i for i, _ in got] == _quadratic_partners(lm, leads), seed
+        assert all(P.unpack(P.complete(l)) == tuple(map(max, lm, leads[i])) for i, l in got)
     # the random sets exercise ties and the product criterion
     assert equal_lcms > 50 and coprime > 50
 
@@ -346,10 +353,29 @@ def _primitive_set(polys, key):
     return out
 
 
-@pytest.mark.parametrize("order, name", [(LEX, "lex"), (DEGREVLEX, "grevlex")], ids=["lex", "grevlex"])
-def test_buchberger_matches_sympy_groebner(order, name):
+
+
+def _sympy_order(kind, n, rng, xs):
+    """Our order for one seeded case, the sympy order it must agree with,
+    and the sympy generators in that order's variable sequence."""
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    if kind == "lex":
+        return LEX, "lex", xs
+    if kind == "grevlex":
+        return DEGREVLEX, "grevlex", xs
+    if kind == "elimination":
+        k = rng.randint(1, n - 1)
+        block = ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+        return MonomialOrder.elimination(k), block, xs
+    # degrevlex with variable v ranked last is grevlex with v moved to the end
+    v = rng.randrange(n)
+    return MonomialOrder.degrevlex(last=v), "grevlex", xs[:v] + xs[v + 1 :] + xs[v : v + 1]
+
+
+@pytest.mark.parametrize("kind", ["lex", "grevlex", "elimination", "grevlex_last"])
+def test_buchberger_matches_sympy_groebner(kind):
     sympy = pytest.importorskip("sympy")
-    key = order.key()
     for seed in range(30):
         rng = random.Random(seed)
         n = rng.randint(2, 4)
@@ -361,11 +387,95 @@ def test_buchberger_matches_sympy_groebner(order, name):
             terms = rng.sample(monos, rng.randint(1, min(4, len(monos))))
             gens.append(Poly(ring, {e: Fraction(rng.choice((-3, -2, -1, 1, 2, 5))) for e in terms}))
         xs = sympy.symbols(ring.variables)
+        order, sympy_order, sympy_gens = _sympy_order(kind, n, rng, list(xs))
+        key = order.key()
         exprs = [
             sum(int(c) * sympy.prod(x**k for x, k in zip(xs, e)) for e, c in g.terms.items())
             for g in gens
         ]
-        ref = sympy.groebner(exprs, *xs, order=name, domain="QQ")
+        ref = sympy.groebner(exprs, *sympy_gens, order=sympy_order, domain="QQ")
         expected = _primitive_set((dict(p.as_poly(*xs).terms()) for p in ref.exprs), key)
         got = _primitive_set((g.terms for g in buchberger(gens, order)), key)
         assert got == expected, seed
+
+
+def _packing_orders(n):
+    """lex, degrevlex, each variable-last degrevlex and each elimination
+    order on n variables: every packed layout."""
+    yield LEX
+    yield DEGREVLEX
+    for v in range(n):
+        yield MonomialOrder.degrevlex(last=v)
+    for k in range(1, n):
+        yield MonomialOrder.elimination(k)
+
+
+def _seeded_monomials(rng, n, fmax, count):
+    """Exponent vectors of degree at most fmax, in pairs: a vector, then a
+    random divisor of it.  The first vector and a quarter of the others put
+    one variable at the field maximum; the rest split a random degree at
+    random cut points."""
+    out = []
+    while len(out) < count:
+        if not out or rng.random() < 0.25:
+            e = [0] * n
+            e[rng.randrange(n)] = fmax
+        else:
+            cuts = sorted(rng.randint(0, fmax) for _ in range(n - 1))
+            d = rng.randint(cuts[-1] if cuts else 0, fmax)
+            e = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+        out.append(tuple(e))
+        out.append(tuple(rng.randint(0, x) for x in e))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 13])
+def test_packed_monomials_match_exponent_tuples(n):
+    rng = random.Random(n)
+    for order in _packing_orders(n):
+        key = order.key()
+        for bits in (3, 4):
+            P = _Packing(order, n, bits)
+            monos = _seeded_monomials(rng, n, P.fmax, 24)
+            assert any(P.fmax in e for e in monos)
+            packed = [P.pack(e) for e in monos]
+            assert [P.unpack(a) for a in packed] == monos
+            for (e, a), (f, b) in itertools.product(zip(monos, packed), repeat=2):
+                where = (order, bits, e, f)
+                assert (a < b) == (key(e) < key(f)) and (a == b) == (e == f), where
+                assert (not (b - a) & P.guard) == all(x <= y for x, y in zip(e, f)), where
+                lcm = tuple(map(max, e, f))
+                prod = tuple(x + y for x, y in zip(e, f))
+                if sum(lcm) <= P.fmax:
+                    assert P.complete(P.lcm_e(a, b)) == P.pack(lcm), where
+                else:
+                    with pytest.raises(_Overflow):
+                        P.complete(P.lcm_e(a, b))
+                if sum(prod) <= P.fmax:
+                    assert a + b == P.pack(prod), where
+                else:
+                    with pytest.raises(_Overflow):
+                        P.pack(prod)
+
+
+def test_overflowing_basis_widens_its_fields():
+    # the lex basis of x_i - x_(i+1)^2 holds x_0 - x_5^32, far wider than
+    # the fields sized from the quadratic input: the run restarts with wider
+    # fields and counts the steps of the wider run alone
+    ring = Ring([f"x{i}" for i in range(6)])
+    xs = ring.gens()
+    gens = [xs[i] - xs[i + 1] * xs[i + 1] for i in range(5)]
+    budget = StepBudget(10**6)
+    gb = buchberger(gens, LEX, budget)
+    expected = [ring.parse(f"x{i} - x5^{2 ** (5 - i)}") for i in range(5)]
+    assert sorted(map(str, gb)) == sorted(map(str, expected))
+    narrow = _Packing(LEX, 6, max(8, 4 * 2).bit_length())
+    with pytest.raises(_Overflow):
+        G = _buchberger_entries([_to_int_terms(g, narrow) for g in gens], narrow, StepBudget(10**6))
+        _reduced_basis(G, narrow, StepBudget(10**6))
+    wide = _Packing(LEX, 6, 8)
+    direct = StepBudget(10**6)
+    ordered = sorted(gens, key=lambda g: LEX.key()(g.lead_monomial(LEX)))
+    G = _buchberger_entries([_to_int_terms(g, wide) for g in ordered], wide, direct)
+    assert _reduced_basis(G, wide, direct) == [{e: int(c) for e, c in g.terms.items()} for g in gb]
+    assert budget.used == direct.used
