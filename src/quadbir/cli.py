@@ -2,7 +2,7 @@
 
 Subcommands: hilbert, gb, map, verify, enumerate, table, coindex,
 invariants.  Global flags: --budget (step budget; the QUADBIR_BUDGET
-environment variable sets the default), --seed, --format {text|json}.
+environment variable sets the default), --format {text|json}.
 The exit status is 0 exactly when no check failed, 1 on a failure, and
 2 on usage or parse errors.
 """
@@ -133,12 +133,12 @@ def cmd_map(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.all:
-        reports = verify_all(args.budget, args.seed)
+        reports = verify_all(args.budget)
     else:
         if not args.example:
             print("verify needs an example name or --all", file=sys.stderr)
             return 2
-        reports = [verify_example(args.example, StepBudget(args.budget), args.seed)]
+        reports = [verify_example(args.example, StepBudget(args.budget))]
     if args.format == "json":
         print(reports_to_json(reports, timings=args.timings))
     else:
@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact toolkit for quadratic birational transformations",
     )
     p.add_argument("--budget", type=int, default=None, help="step budget for basis computations (default from QUADBIR_BUDGET)")
-    p.add_argument("--seed", type=int, default=0, help="seed for generic choices")
     p.add_argument("--format", choices=["text", "json"], default="text")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -29,7 +29,6 @@ from .classify import CaseRow, check_row, load_table
 from .groebner import (
     BudgetExceeded,
     Ideal,
-    SaturationUncertified,
     StepBudget,
     ideal_equal,
     membership,
@@ -85,7 +84,7 @@ HEAVY_BUDGET_THRESHOLD = 30_000_000
 
 _DATA = os.path.join(os.path.dirname(__file__), "data", "ideals")
 
-_UNDECIDED = (BudgetExceeded, HeavyComputation, SaturationUncertified)
+_UNDECIDED = (BudgetExceeded, HeavyComputation)
 
 
 @dataclass
@@ -175,10 +174,9 @@ class _Ctx:
     first use and shared by every step, so each Groebner basis is computed
     once per run."""
 
-    def __init__(self, spec: ExampleSpec, budget: StepBudget, seed: int):
+    def __init__(self, spec: ExampleSpec, budget: StepBudget):
         self.spec = spec
         self.budget = budget
-        self.seed = seed
         # steps append here, so checks that finished survive a later
         # budget exhaustion
         self.checks: list[CheckResult] = []
@@ -360,7 +358,7 @@ def inverse(degree: int) -> Step:
         ctx.solved_inverse = G
         ctx.checks.append(_true(name, G is not None))
         if G is not None:
-            ctx.checks.append(_eq("type", (2, degree), map_type(ctx.map, G, ctx.seed)))
+            ctx.checks.append(_eq("type", (2, degree), map_type(ctx.map, G, ctx.budget)))
 
     return step
 
@@ -382,7 +380,7 @@ def recorded(
         ok = composition_identity(F, G)
         ctx.checks.append(_true("composition_identity", ok, inverse_provenance))
         if map_degrees is not None:
-            ctx.checks.append(_eq("type", map_degrees, map_type(F, G, ctx.seed)))
+            ctx.checks.append(_eq("type", map_degrees, map_type(F, G, ctx.budget)))
 
     return step
 
@@ -478,7 +476,7 @@ def _quartic_singular_support(ctx: _Ctx) -> None:
     quartic_fourfold = "1/6*t^4 + t^3 + 7/3*t^2 + 5/2*t + 1"
     checks.append(_eq("image_hilbert_polynomial", quartic_fourfold, hs.hp_str(),
                       "quartic fourfold image"))
-    sing = singular_locus(S_disp, 2, ctx.budget, seed=ctx.seed)
+    sing = singular_locus(S_disp, 2, ctx.budget)
     hsing = hilbert_data(sing, budget=ctx.budget)
     checks.append(_eq("singular_locus_hilbert_polynomial", "t + 5", hsing.hp_str()))
     same = ideal_equal(sing, ctx.load("quartic_curve_sing.ideal"), ctx.budget)
@@ -504,7 +502,7 @@ def _quartic_inverse_base_locus(ctx: _Ctx) -> None:
         return
     S_disp = ctx.image
     Bprime = Ideal(S_disp.ring, list(G.components) + list(S_disp.generators))
-    Bp = saturate_irrelevant(Bprime, ctx.budget, seed=ctx.seed)
+    Bp = saturate_irrelevant(Bprime, ctx.budget)
     same = ideal_equal(Bp, ctx.load("quartic_curve_singred.ideal"), ctx.budget)
     ctx.checks.append(_true("inverse_base_locus_is_recorded_line", same,
                             "base locus of the linear inverse on the image"))
@@ -538,7 +536,7 @@ def _quartic_exclusion(ctx: _Ctx) -> None:
 
 
 def _saturation_fixed_point(ctx: _Ctx) -> None:
-    sat = saturate_irrelevant(ctx.base, ctx.budget, seed=ctx.seed)
+    sat = saturate_irrelevant(ctx.base, ctx.budget)
     same = ideal_equal(sat, ctx.base, ctx.budget)
     ctx.checks.append(_true("ideal_saturated", same, "irrelevant saturation fixed point"))
 
@@ -775,11 +773,13 @@ def verify_example(
     budget: StepBudget | int | None = None,
     seed: int = 0,
 ) -> VerificationReport:
+    """Run one corpus example.  `seed` is ignored: every step is
+    deterministic."""
     if name not in CORPUS:
         raise KeyError(f"unknown example {name!r}; known: {sorted(CORPUS)}")
     spec = CORPUS[name]
     b = budget if isinstance(budget, StepBudget) else StepBudget(budget)
-    ctx = _Ctx(spec, b, seed)
+    ctx = _Ctx(spec, b)
     start = time.time()
     try:
         for step in spec.steps:
@@ -805,8 +805,9 @@ def verify_example(
 def verify_all(
     budget_limit: int | None = None, seed: int = 0
 ) -> list[VerificationReport]:
-    """Run every corpus example (fresh budget each), sorted by name."""
-    return [verify_example(name, StepBudget(budget_limit), seed) for name in sorted(CORPUS)]
+    """Run every corpus example (fresh budget each), sorted by name.
+    `seed` is ignored."""
+    return [verify_example(name, StepBudget(budget_limit)) for name in sorted(CORPUS)]
 
 
 def reports_to_text(reports: list[VerificationReport], timings: bool = False) -> str:

@@ -1,10 +1,10 @@
 """Buchberger-based ideal arithmetic.
 
 Division with remainder, reduced Groebner bases, membership, elimination,
-ideal quotient, saturation, and ideal equality.  The Buchberger loop works
-fraction-free on integer-primitive polynomials; public results are returned
-as exact rational polynomials normalized to primitive integer form with a
-positive leading coefficient.
+intersection, ideal quotient, saturation, and ideal equality.  The
+Buchberger loop works fraction-free on integer-primitive polynomials;
+public results are returned as exact rational polynomials normalized to
+primitive integer form with a positive leading coefficient.
 
 Every basis computation charges a step budget so that heavy runs fail with
 a distinct `BudgetExceeded` error instead of hanging.
@@ -13,7 +13,6 @@ a distinct `BudgetExceeded` error instead of hanging.
 from __future__ import annotations
 
 import os
-import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, count, repeat
@@ -43,7 +42,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class SaturationUncertified(RuntimeError):
-    """Saturation by the irrelevant ideal could not be certified."""
+    """Kept for importers; nothing raises it since saturation is exact."""
 
 
 class StepBudget:
@@ -660,25 +659,32 @@ def exact_divide(g: Poly, f: Poly) -> Poly:
     return q[0]
 
 
-def ideal_quotient(
-    I: Ideal, f: Poly, budget: StepBudget | int | None = None
+def intersect(
+    I: Ideal, J: Ideal, budget: StepBudget | int | None = None
 ) -> Ideal:
-    """(I : f) via the intersection construction I ∩ (f) = elim_t(t·I + (1-t)·f)."""
-    if not f:
-        raise ValueError("cannot quotient by zero")
-    b = _budget(budget)
+    """I ∩ J = elim_t(t·I + (1-t)·J), t a fresh variable."""
+    if I.ring != J.ring:
+        raise ValueError("ideals in different rings")
     ring = I.ring
     tname = _fresh_name(ring)
     big = Ring((tname,) + ring.variables)
     lift = lambda p: Poly(big, {(0,) + e: c for e, c in p.terms.items()})
     t = big.var(tname)
     gens = [t * lift(g) for g in I.generators]
-    gens.append((big.one() - t) * lift(f))
-    inter = eliminate(Ideal(big, gens), 1, b)
+    gens += [(big.one() - t) * lift(g) for g in J.generators]
+    inter = eliminate(Ideal(big, gens), 1, budget)
     # inter lives in a ring with the same variable names as `ring`
-    back = [Poly(ring, dict(p.terms)) for p in inter.generators]
-    quotient_gens = [exact_divide(g, f) for g in back]
-    return Ideal(ring, quotient_gens)
+    return Ideal(ring, [Poly(ring, dict(p.terms)) for p in inter.generators])
+
+
+def ideal_quotient(
+    I: Ideal, f: Poly, budget: StepBudget | int | None = None
+) -> Ideal:
+    """(I : f) = (I ∩ (f)) / f."""
+    if not f:
+        raise ValueError("cannot quotient by zero")
+    inter = intersect(I, Ideal(I.ring, [f]), budget)
+    return Ideal(I.ring, [exact_divide(g, f) for g in inter.generators])
 
 
 def _contained_in(
@@ -729,100 +735,31 @@ def _saturate_by_variable(I: Ideal, var: int, budget: StepBudget) -> Ideal:
 
 
 def saturate_irrelevant(
-    I: Ideal,
-    budget: StepBudget | int | None = None,
-    seed: int = 0,
-    max_power: int = 24,
+    I: Ideal, budget: StepBudget | int | None = None
 ) -> Ideal:
-    """Saturation by the irrelevant maximal ideal, with a certificate.
+    """(I : m^inf) for the irrelevant ideal m of a homogeneous I, exactly.
 
-    First tries the cheap sufficient test (stability under saturation by
-    every single variable).  Otherwise saturates by a seeded random linear
-    form and certifies the result: every new generator f must satisfy
-    x_i^k · f in I for each variable, which pins the result to the true
-    irrelevant-ideal saturation independently of the genericity of the
-    linear form.
+    Each S_i = (I : x_i^inf) contains the saturation, which contains I, so
+    the first S_i inside I proves I saturated.  Otherwise the result is the
+    intersection of all S_i: if x_i^(k_i)·f lies in I for every i, then so
+    does m^K·f for K = sum(k_i - 1) + 1.
     """
     b = _budget(budget)
     if not I.is_homogeneous():
         raise ValueError("irrelevant-ideal saturation needs a homogeneous ideal")
     if I.is_zero():
         return I
-    ring = I.ring
-    stable = True
-    for var in range(ring.nvars):
-        J = _saturate_by_variable(I, var, b)
-        if not _contained_in(J, I, b):
-            stable = False
-            break
-    if stable:
-        return I
-    rng = random.Random(seed)
-    for attempt in range(4):
-        coeffs = [rng.randint(1, 7) for _ in range(ring.nvars)]
-        J = _saturate_generic_linear(I, coeffs, b)
-        if _certify_saturation(I, J, b, max_power):
-            return J
-    raise SaturationUncertified(
-        "could not certify irrelevant-ideal saturation after 4 seeds"
-    )
-
-
-def _saturate_generic_linear(
-    I: Ideal, coeffs: Sequence[int], budget: StepBudget
-) -> Ideal:
-    """(I : ell^inf) for ell = sum(coeffs[i] * x_i), all coeffs nonzero.
-
-    Works in coordinates where ell becomes the last variable.
-    """
-    ring = I.ring
-    n = ring.nvars
-    last = n - 1
-    a = Fraction(coeffs[last])
-    # substitution x_last -> (x_last - sum_{i<last} c_i x_i) / c_last turns
-    # ell into the plain variable x_last
-    images = []
-    for i in range(n):
-        if i != last:
-            images.append(ring.var(ring.variables[i]))
-    subst_last = ring.var(ring.variables[last]).scale(1 / a)
-    for i in range(last):
-        subst_last = subst_last - ring.var(ring.variables[i]).scale(
-            Fraction(coeffs[i]) / a
-        )
-    images.append(subst_last)
-    moved = [g.substitute(images) for g in I.generators]
-    J = _saturate_by_variable(Ideal(ring, moved), last, budget)
-    # substitute back: x_last -> ell
-    back_images = [ring.var(v) for v in ring.variables[:last]]
-    ell = ring.zero()
-    for i, c in enumerate(coeffs):
-        ell = ell + ring.var(ring.variables[i]).scale(c)
-    back_images.append(ell)
-    restored = [g.substitute(back_images) for g in J.generators]
-    return Ideal(ring, restored)
-
-
-def _certify_saturation(
-    I: Ideal, J: Ideal, budget: StepBudget, max_power: int
-) -> bool:
-    """Check J ⊆ (I : m^inf): each generator killed by a power of every variable."""
-    ring = I.ring
-    for f in J.generators:
-        if membership(f, I, budget=budget):
-            continue
-        for var in ring.variables:
-            x = ring.var(var)
-            p = f
-            ok = False
-            for _ in range(max_power):
-                p = p * x
-                if membership(p, I, budget=budget):
-                    ok = True
-                    break
-            if not ok:
-                return False
-    return True
+    sats = []
+    for var in range(I.ring.nvars):
+        S = _saturate_by_variable(I, var, b)
+        if _contained_in(S, I, b):
+            return I
+        sats.append(S)
+    out = sats[0]
+    for S in sats[1:]:
+        if not _contained_in(out, S, b):
+            out = intersect(out, S, b)
+    return out
 
 
 # ---------------------------------------------------------------------------

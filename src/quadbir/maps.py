@@ -12,9 +12,9 @@ identity that holds on a dense open subset holds identically.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .groebner import (
@@ -24,6 +24,8 @@ from .groebner import (
     contains_one,
     dehomogenize,
     eliminate,
+    exact_divide,
+    intersect,
     saturate_irrelevant,
     solve_simplify,
 )
@@ -220,18 +222,12 @@ def minor_ideal(
     """I plus a QQ-basis of the span of the codim x codim Jacobian minors
     of its generators; the same ideal as I plus all those minors."""
     ring = I.ring
-    count = _comb(len(I.generators), codim) * _comb(ring.nvars, codim)
+    count = comb(len(I.generators), codim) * comb(ring.nvars, codim)
     if count > cap:
         raise HeavyComputation(
             f"{count} Jacobian minors exceed the cap of {cap}"
         )
     return Ideal(ring, I.generators + tuple(_minor_span(I.generators, codim, ring)))
-
-
-def _comb(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def singular_locus(
@@ -244,10 +240,9 @@ def singular_locus(
     """Saturated Jacobian-minor ideal (the singular scheme of V(I)).
 
     Raises HeavyComputation when the minor count explodes past the cap.
+    `seed` is ignored: the saturation is deterministic.
     """
-    b = _budget(budget)
-    J = minor_ideal(I, codim, cap)
-    return saturate_irrelevant(J, budget=b, seed=seed)
+    return saturate_irrelevant(minor_ideal(I, codim, cap), budget)
 
 
 def smooth_certificate(
@@ -285,7 +280,7 @@ def smooth_certificate(
         cprime = sring.nvars - dim_proj
         if cprime <= 0:
             return False
-        nminors = _comb(len(sg), cprime) * _comb(sring.nvars, cprime)
+        nminors = comb(len(sg), cprime) * comb(sring.nvars, cprime)
         if nminors > minor_cap:
             raise HeavyComputation(
                 f"chart {ring.variables[var]}: {nminors} minors after simplification"
@@ -322,99 +317,34 @@ def composition_identity(F: RationalMap, G: RationalMap) -> bool:
 
 
 def common_factor_degree(
-    polys: Sequence[Poly], seed: int = 0, probes: int = 2
+    polys: Sequence[Poly], budget: StepBudget | int | None = None
 ) -> int:
-    """Degree of the common polynomial factor of homogeneous forms.
+    """Degree of the greatest common divisor of the nonzero polys, exactly.
 
-    Combines the exact common monomial factor with a generic-line probe:
-    the forms are restricted to seeded random affine lines and their
-    univariate gcd degree is taken (minimized over probes, which can only
-    overestimate on special lines).
+    Folds gcd(g, p) = g·p / lcm(g, p) over the polys, where lcm(g, p) is
+    the one generator of the principal ideal (g) ∩ (p).
     """
+    b = _budget(budget)
     polys = [p for p in polys if p]
     if not polys:
         return 0
-    ring = polys[0].ring
-    n = ring.nvars
-    mono_min = [min(e[i] for p in polys for e in p.terms) for i in range(n)]
-    base = sum(mono_min)
-    if all(len(p.terms) == 1 for p in polys):
-        return base
-    rng = random.Random(seed)
-    best = None
-    for _ in range(probes):
-        a = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        bpt = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        gdeg = None
-        gcd_poly: list[Fraction] | None = None
-        for p in polys:
-            uni = _restrict_to_line(p, a, bpt)
-            if uni is None:
-                gcd_poly = None
-                break
-            gcd_poly = uni if gcd_poly is None else _poly_gcd_1var(gcd_poly, uni)
-            if len(gcd_poly) == 1:
-                break
-        if gcd_poly is not None:
-            gdeg = len(gcd_poly) - 1
-            best = gdeg if best is None else min(best, gdeg)
-    if best is None:
-        return base
-    return max(base, best) if best > 0 else base
+    g = polys[0]
+    for p in polys[1:]:
+        if g.is_constant():
+            break
+        (lcm,) = intersect(Ideal(g.ring, [g]), Ideal(g.ring, [p]), b).generators
+        g = exact_divide(g * p, lcm)
+    return g.degree()
 
 
-def _restrict_to_line(p: Poly, a: list[Fraction], b: list[Fraction]):
-    """Coefficients of p(a*u + b) as a univariate polynomial in u."""
-    deg = p.degree()
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        # expand prod_i (a_i u + b_i)^{e_i}
-        acc = [Fraction(1)]
-        for i, k in enumerate(e):
-            for _ in range(k):
-                nxt = [Fraction(0)] * (len(acc) + 1)
-                for d, v in enumerate(acc):
-                    nxt[d] += v * b[i]
-                    nxt[d + 1] += v * a[i]
-                acc = nxt
-        for d, v in enumerate(acc):
-            coeffs[d] += c * v
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) == 1 and coeffs[0] == 0:
-        return None
-    return coeffs
-
-
-def _poly_gcd_1var(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b and any(b):
-        a, b = b, _poly_mod_1var(a, b)
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _poly_mod_1var(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        shift = len(a) - 1 - db
-        f = a[-1] / lb
-        for i in range(db + 1):
-            a[shift + i] -= f * b[i]
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        if len(a) == 1 and a[0] == 0:
-            return [Fraction(0)]
-    return a
-
-
-def map_type(F: RationalMap, G: RationalMap, seed: int = 0) -> tuple[int, int]:
+def map_type(
+    F: RationalMap, G: RationalMap, budget: StepBudget | int | None = None
+) -> tuple[int, int]:
     """The type (2, d): d is the common degree of the inverse components
     after removing their common polynomial factor."""
     if not composition_identity(F, G):
         raise ValueError("composition identity does not hold")
-    d = G.degree - common_factor_degree(G.components, seed=seed)
+    d = G.degree - common_factor_degree(G.components, budget)
     return (F.degree, d)
 
 

@@ -121,3 +121,14 @@ def paranoid_mode():
     corpus.hilbert_data = _orig_hilbert_data
     if patched_maps:
         maps.buchberger = _orig_buchberger
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print how much the paranoid checks verified in this session."""
+    if os.environ.get("QUADBIR_TEST_PARANOID", "1") == "0":
+        return
+    terminalreporter.write_sep("-", "paranoid checks")
+    terminalreporter.write_line(
+        f"bases checked: {_stats['gb_checked']}, S-polynomials: {_stats['spolys']}, "
+        f"Hilbert checks: {_stats['hilbert_checked']}"
+    )

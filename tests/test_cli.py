@@ -105,7 +105,7 @@ def test_verify_all_is_deterministic(capsys):
     # a starved budget downgrades heavy work deterministically; two runs
     # must produce byte-identical canonical reports, equal to the golden
     # report kept in tests/data
-    argv = ["--format", "json", "--budget", "60000", "--seed", "7", "verify", "--all"]
+    argv = ["--format", "json", "--budget", "60000", "verify", "--all"]
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv)
     with open(GOLDEN, encoding="utf-8") as fh:

@@ -110,13 +110,16 @@ def test_budget_downgrades_but_never_passes():
 
 def test_budget_exhaustion_keeps_finished_checks():
     # a budget that runs out partway through: the checks that finished
-    # before it ran out survive, followed by one pipeline entry
-    full = verify_example("line_times_quadric_section")
-    starved = verify_example("line_times_quadric_section", budget=5000)
+    # before it ran out survive, followed by one pipeline entry; the cut is
+    # half of what the full run uses, so it stays mid-pipeline
+    budget = StepBudget()
+    full = verify_example("line_times_quadric_section", budget)
+    limit = budget.used // 2
+    starved = verify_example("line_times_quadric_section", budget=limit)
     *finished, last = starved.checks
     assert len(finished) >= 3
     assert last.name == "pipeline" and last.status == SKIPPED_HEAVY
-    assert "5001 steps" in last.expected
+    assert f"{limit + 1} steps" in last.expected
     assert finished == full.checks[: len(finished)]
     assert all(c.status == PASS for c in finished)
 
@@ -126,7 +129,7 @@ def test_decided_singular_dim_keeps_its_provenance():
     # check carries the provenance text its SKIPPED_HEAVY entry would carry
     spec = ExampleSpec("quartic_fourfold", "singular locus probe", FULL, (),
                        image="quartic_curve_image.ideal")
-    ctx = _Ctx(spec, StepBudget(400_000_000), 0)
+    ctx = _Ctx(spec, StepBudget(400_000_000))
     singular_dim(2, 4000, 1, "codimension-2 minor scheme in P^6")(ctx)
     [check] = ctx.checks
     assert (check.name, check.status, check.computed) == ("image_singular_dim", PASS, "1")

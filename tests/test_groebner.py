@@ -23,11 +23,13 @@ from quadbir.groebner import (
     eliminate,
     ideal_equal,
     ideal_quotient,
+    intersect,
     membership,
     reduce,
     saturate,
     saturate_irrelevant,
 )
+from quadbir.hilbert import hilbert_data
 from quadbir.ideal_io import read_ideal
 from quadbir.polyring import DEGREVLEX, LEX, MonomialOrder, Poly, Ring, _drl_key
 from quadbir.varieties import elliptic_quintic_pfaffian
@@ -161,8 +163,8 @@ def test_saturation_fixed_point():
 
 
 def test_irrelevant_saturation_keeps_saturated_ideal(twisted_cubic):
-    S = saturate_irrelevant(twisted_cubic)
-    assert ideal_equal(S, twisted_cubic)
+    # the first variable whose saturation lies inside I proves it saturated
+    assert saturate_irrelevant(twisted_cubic) is twisted_cubic
 
 
 def test_irrelevant_saturation_strips_point_component():
@@ -181,6 +183,20 @@ def test_irrelevant_saturation_keeps_hyperplane_components():
     I = Ideal(ring, [x * y, x * z])  # V(x) union a line
     S = saturate_irrelevant(I)
     assert ideal_equal(S, I)
+
+
+def test_intersect_known_answers():
+    ring = Ring(["x", "y", "z"])
+    x, y, z = ring.gens()
+    meet = intersect(Ideal(ring, [x]), Ideal(ring, [y]))
+    assert [str(g) for g in meet.generators] == ["x*y"]
+    # (x^2, y) and (x, y^2) meet in the square of (x, y)
+    meet = intersect(Ideal(ring, [x * x, y]), Ideal(ring, [x, y * y]))
+    assert ideal_equal(meet, Ideal(ring, [x * x, x * y, y * y]))
+    # with the zero ideal or the unit ideal
+    assert intersect(Ideal(ring, [x]), Ideal(ring, [])).is_zero()
+    assert ideal_equal(intersect(Ideal(ring, [x, z]), Ideal(ring, [ring.one()])),
+                       Ideal(ring, [x, z]))
 
 
 def test_ideal_equality():
@@ -232,6 +248,37 @@ def test_saturation_by_variable_matches_quotient_oracle(name):
         slow = _saturate_by_quotients(I, x)
         assert ideal_equal(fast, slow)
         assert buchberger(fast) == buchberger(slow)
+
+
+def _intersection_branch_cases():
+    """Ideals of P^2 none of whose per-variable saturations lies inside
+    them, each with its saturation."""
+    P2 = Ring(["x", "y", "z"])
+    m = P2.gens()
+    points = Ideal(P2, [P2.parse(t) for t in ("x*y", "y*z", "x*z")])
+    embedded = _saturation_cases()["embedded_point"]
+    squares = itertools.combinations_with_replacement(m, 2)
+    return {
+        "three_points": (points, points),
+        "three_points_times_m": (Ideal(P2, [g * v for g in points.generators for v in m]), points),
+        "m_squared": (Ideal(P2, [a * b for a, b in squares]), Ideal(P2, [P2.one()])),
+        "embedded_point": (embedded, embedded),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_intersection_branch_cases()))
+def test_irrelevant_saturation_intersects_variable_saturations(name):
+    I, expected = _intersection_branch_cases()[name]
+    inside = lambda J: all(membership(g, I) for g in J.generators)
+    assert not any(inside(saturate(I, x)) for x in I.ring.gens())
+    S = saturate_irrelevant(I)
+    assert ideal_equal(S, expected)
+    assert all(membership(g, S) for g in I.generators)
+    # every generator of S times a power of each variable lies in I
+    for f in S.generators:
+        for x in I.ring.gens():
+            assert any(membership(f * x**k, I) for k in range(1, 6))
+    assert hilbert_data(S).hp == hilbert_data(I).hp
 
 
 def test_variable_last_key_is_permuted_degrevlex_key():

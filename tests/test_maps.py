@@ -10,6 +10,7 @@ from quadbir.maps import (
     NotACertificate,
     RationalMap,
     ambient_gap,
+    common_factor_degree,
     composition_identity,
     forward_annihilation,
     image_forms,
@@ -217,6 +218,35 @@ def test_composition_identity_of_identity_maps():
     F = RationalMap(ring, Ring(["y0", "y1", "y2"]), tuple(ring.gens()))
     G = RationalMap(F.target_ring, Ring(["x0", "x1", "x2"]), tuple(F.target_ring.gens()))
     assert composition_identity(F, G)
+    assert map_type(F, G) == (1, 1)
+
+
+def test_common_factor_degree_on_known_products():
+    ring = Ring(["x", "y", "z", "w"])
+    p = ring.parse
+    a, b, c = p("x^2 + y*w"), p("z*w - x*y + 3*z^2"), p("x*z - w^2")
+    linear, quadric = p("x + 2*y - z"), p("x*z - y^2 + w^2")
+    assert common_factor_degree([linear * a, linear * b, linear * c]) == 1
+    assert common_factor_degree([linear * a, linear * b, c]) == 0
+    assert common_factor_degree([quadric * a, quadric * b]) == 2
+    assert common_factor_degree([linear * quadric * a, quadric * b * c]) == 2
+    # a common monomial factor, and a monomial in one form only
+    assert common_factor_degree([p("x*y*z"), p("x*y*w"), p("x^2*y")]) == 2
+    assert common_factor_degree([p("x*y") * a, p("y^2") * b]) == 1
+    # coprime forms, a single form, and zero forms left out
+    assert common_factor_degree([a, b, c]) == 0
+    assert common_factor_degree([quadric * a]) == 4
+    assert common_factor_degree([ring.zero(), a * b, ring.zero(), a * c]) == 2
+
+
+def test_map_type_removes_a_common_quadric_factor():
+    # G = h * identity is the identity map with degree-3 components; its
+    # reduced type is (1, 1)
+    ring = Ring(["x0", "x1", "x2"])
+    F = RationalMap(ring, Ring(["y0", "y1", "y2"]), tuple(ring.gens()))
+    h = F.target_ring.parse("y0*y1 - y2^2 + 2*y0*y2")
+    G = RationalMap(F.target_ring, ring, tuple(h * y for y in F.target_ring.gens()))
+    assert G.degree == 3
     assert map_type(F, G) == (1, 1)
 
 
