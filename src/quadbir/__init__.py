@@ -18,7 +18,7 @@ from .groebner import (
     saturate,
     saturate_irrelevant,
 )
-from .hilbert import HilbertData, graded_piece, graded_piece_dim, hilbert_data, initial_ideal
+from .hilbert import HilbertData, graded_piece, hilbert_data, initial_ideal
 from .maps import (
     RationalMap,
     composition_identity,
@@ -34,7 +34,6 @@ from .maps import (
 from .invariants import (
     ClassProfile,
     Infeasible,
-    InvariantRecord,
     castelnuovo_bound,
     coindex_delta,
     double_point,
@@ -58,6 +57,5 @@ from .classify import (
     load_table,
 )
 from .corpus import CORPUS, verify_all, verify_example
-from .varieties import standard_variety
 
 __version__ = "0.1.0"

@@ -101,8 +101,11 @@ class RuleTable:
                 return e.name
         return None
 
-    def names(self) -> list[str]:
-        return list(self.entries)
+
+def _case(rules: RuleTable, **fields) -> CaseRow:
+    """A derived row with its coindex, marked with the first rule striking it."""
+    row = CaseRow(c=coindex_delta(fields["r"], fields["n"], fields["d"])[0], **fields)
+    return replace(row, struck_by=rules.strike(row))
 
 
 def default_rule_table() -> RuleTable:
@@ -195,8 +198,8 @@ def enumerate_r1(rules: RuleTable | None = None) -> list[CaseRow]:
                 if span >= 2 and lam >= span:
                     if g > castelnuovo_bound(lam, span):
                         continue
-                c = coindex_delta(1, n, d)[0]
-                row = CaseRow(
+                row = _case(
+                    rules,
                     r=1,
                     n=n,
                     a=a,
@@ -205,12 +208,10 @@ def enumerate_r1(rules: RuleTable | None = None) -> list[CaseRow]:
                     structure=_R1_STRUCTURES.get((n, a), ""),
                     d=d,
                     Delta=Delta,
-                    c=c,
                     eps=eps,
                     chi=1 - g,
                     provenance="hilbert-polynomial and inverse-degree displays",
                 )
-                row = replace(row, struck_by=rules.strike(row))
                 out.append(row)
     out.sort(key=lambda r: r.key())
     return out
@@ -276,8 +277,8 @@ def enumerate_r2(rules: RuleTable | None = None) -> list[CaseRow]:
                 Delta = dd // d
                 if r2_delta_quotient(g, a, d) != Delta:
                     continue
-                c = coindex_delta(2, n, d)[0]
-                row = CaseRow(
+                row = _case(
+                    rules,
                     r=2,
                     n=n,
                     a=a,
@@ -286,13 +287,11 @@ def enumerate_r2(rules: RuleTable | None = None) -> list[CaseRow]:
                     structure=_R2_STRUCTURES.get((a, lam), ""),
                     d=d,
                     Delta=Delta,
-                    c=c,
                     eps=0,
                     chi=lam + a - 7,
                     provenance="degree/genus identities with the two "
                     "displayed (d, Delta) relations",
                 )
-                row = replace(row, struck_by=rules.strike(row))
                 out.append(row)
     for n2, a, lam, g, structure, d, eps in _R2_DELTA_POS:
         _, der = segre_chern(2, n2, lam, g)
@@ -300,8 +299,8 @@ def enumerate_r2(rules: RuleTable | None = None) -> list[CaseRow]:
         if d * Delta != der["dDelta"]:
             raise Infeasible("cited inverse degree incompatible with d*Delta")
         chi = hp_relations(2, n2, a, eps, g=g)["chi"]
-        c = coindex_delta(2, n2, d)[0]
-        row = CaseRow(
+        row = _case(
+            rules,
             r=2,
             n=n2,
             a=a,
@@ -310,13 +309,11 @@ def enumerate_r2(rules: RuleTable | None = None) -> list[CaseRow]:
             structure=structure,
             d=d,
             Delta=Delta,
-            c=c,
             eps=eps,
             chi=chi,
             provenance="cited classification of surfaces with "
             "positive-dimensional entry loci",
         )
-        row = replace(row, struck_by=rules.strike(row))
         out.append(row)
     out = [row for row in out if row.struck_by is None]
     out.sort(key=lambda r: r.key())
@@ -335,10 +332,12 @@ def _r3_families() -> list[tuple[int, int, int]]:
 
 # structure assignments for the nondegenerate branch (cited classification
 # of threefolds of small degree), keyed by (a, lam, g); each entry:
-# (label, how, data, existence) where how determines the (d, Delta) source
+# (label, how, data, existence) where how determines the (d, Delta) source:
+# one of the structure systems of `invariants`, a cited inverse degree, or
+# the pushforward of the recorded Chern degrees
 _R3_STRUCTURES: dict[tuple[int, int, int], list[tuple]] = {
     (0, 12, 6): [
-        ("scroll over a ruled surface", "scroll_surface", {"c2_base": 7}, "?")
+        ("scroll over a ruled surface", SCROLL_OVER_SURFACE, {"c2_base": 7}, "?")
     ],
     (0, 13, 8): [
         (
@@ -352,7 +351,7 @@ _R3_STRUCTURES: dict[tuple[int, int, int], list[tuple]] = {
         ("blow-up of a quadric threefold at five points", "cited_d", {"d": 3}, "E"),
         (
             "scroll over the blown-up plane (one point)",
-            "scroll_surface",
+            SCROLL_OVER_SURFACE,
             {"c2_base": 4},
             "E**",
         ),
@@ -366,16 +365,16 @@ _R3_STRUCTURES: dict[tuple[int, int, int], list[tuple]] = {
         )
     ],
     (2, 10, 4): [
-        ("scroll over a quadric surface", "scroll_surface", {"c2_base": 4}, "E*")
+        ("scroll over a quadric surface", SCROLL_OVER_SURFACE, {"c2_base": 4}, "E*")
     ],
     (3, 9, 3): [
-        ("scroll over the plane", "scroll_surface", {"c2_base": 3}, "E*"),
-        ("quadric fibration over a line", "quadric_fibration", {}, "E*"),
+        ("scroll over the plane", SCROLL_OVER_SURFACE, {"c2_base": 3}, "E*"),
+        ("quadric fibration over a line", QUADRIC_FIBRATION, {}, "E*"),
     ],
     (4, 8, 2): [
         (
             "hyperplane section of a line times a quadric threefold",
-            "quadric_fibration",
+            QUADRIC_FIBRATION,
             {},
             "E*",
         )
@@ -388,7 +387,17 @@ _R3_STRUCTURES: dict[tuple[int, int, int], list[tuple]] = {
             "",
         )
     ],
-    (6, 6, 0): [("rational normal threefold scroll", "scroll_curve", {}, "E")],
+    (6, 6, 0): [("rational normal threefold scroll", SCROLL_OVER_CURVE, {}, "E")],
+}
+
+_STRUCTURE_SYSTEMS = (QUADRIC_FIBRATION, SCROLL_OVER_CURVE, SCROLL_OVER_SURFACE)
+
+# the structure system of each labelled structure, for `check_row`
+_R3_KIND = {
+    label: how
+    for entries in _R3_STRUCTURES.values()
+    for label, how, _, _ in entries
+    if how in _STRUCTURE_SYSTEMS
 }
 
 # secant-defect-positive and degenerate threefold cases (cited data):
@@ -432,24 +441,16 @@ def enumerate_r3(rules: RuleTable | None = None) -> list[CaseRow]:
     for a, lam, g in _r3_families():
         chi = hp_relations(3, 8, a, 0, lam=lam, g=g)["chi"]
         for label, how, data, exist in _R3_STRUCTURES.get((a, lam, g), []):
-            if how == "quadric_fibration":
-                sols = structure_formulas(QUADRIC_FIBRATION, lam, g, a)
-                if len(sols) != 1:
-                    raise Infeasible(f"quadric fibration not unique at a={a}")
-                d, Delta = sols[0]["d"], sols[0]["Delta"]
-            elif how == "scroll_curve":
-                sols = structure_formulas(SCROLL_OVER_CURVE, lam, g, a)
-                if len(sols) != 1:
-                    raise Infeasible(f"curve scroll not unique at a={a}")
-                d, Delta = sols[0]["d"], sols[0]["Delta"]
-            elif how == "scroll_surface":
+            c2h, c3 = _R3_CHERN[(a, lam, g, label)]
+            if how in _STRUCTURE_SYSTEMS:
+                # a surface scroll is pinned by the c2 of its base surface
                 sols = [
                     s
-                    for s in structure_formulas(SCROLL_OVER_SURFACE, lam, g, a)
-                    if s["c2_base"] == data["c2_base"]
+                    for s in structure_formulas(how, lam, g, a)
+                    if s.get("c2_base") == data.get("c2_base")
                 ]
                 if len(sols) != 1:
-                    raise Infeasible(f"surface scroll not unique at a={a}")
+                    raise Infeasible(f"{how} not unique at a={a}")
                 d, Delta = sols[0]["d"], sols[0]["Delta"]
             elif how == "cited_d":
                 d = data["d"]
@@ -459,17 +460,15 @@ def enumerate_r3(rules: RuleTable | None = None) -> list[CaseRow]:
                     raise Infeasible("cited inverse degree needs a <= 1 here")
                 Delta = 6 - d
             elif how == "pushforward":
-                c2h0, c30 = _R3_CHERN[(a, lam, g, label)]
                 c1 = 2 * lam - 2 * g + 2
-                s = normal_segre_from_chern(3, 8, lam, (c1, c2h0, c30))
+                s = normal_segre_from_chern(3, 8, lam, (c1, c2h, c3))
                 deg_delta, d_delta = pushforward_degrees(3, 8, lam, s)
                 Delta = deg_delta
                 d = d_delta // Delta if Delta > 0 and d_delta % Delta == 0 else 0
             else:
                 raise ValueError(how)
-            c2h, c3 = _R3_CHERN[(a, lam, g, label)]
-            c = coindex_delta(3, 8, d)[0]
-            row = CaseRow(
+            row = _case(
+                rules,
                 r=3,
                 n=8,
                 a=a,
@@ -478,7 +477,6 @@ def enumerate_r3(rules: RuleTable | None = None) -> list[CaseRow]:
                 structure=label,
                 d=d,
                 Delta=Delta,
-                c=c,
                 existence=exist,
                 eps=0,
                 chi=chi,
@@ -487,7 +485,6 @@ def enumerate_r3(rules: RuleTable | None = None) -> list[CaseRow]:
                 provenance="family list with structure-specific "
                 "(d, Delta) resolution",
             )
-            row = replace(row, struck_by=rules.strike(row))
             if row.struck_by is None:
                 out.append(row)
     for n2, a, lam, g, label, d, eps, chi_exp, c2h, c3, exist in _R3_CITED:
@@ -502,8 +499,8 @@ def enumerate_r3(rules: RuleTable | None = None) -> list[CaseRow]:
         Delta = deg_delta
         if d_delta // Delta != d:
             raise Infeasible(f"cited inverse degree contradicts pushforward a={a}")
-        c = coindex_delta(3, n2, d)[0]
-        row = CaseRow(
+        row = _case(
+            rules,
             r=3,
             n=n2,
             a=a,
@@ -512,7 +509,6 @@ def enumerate_r3(rules: RuleTable | None = None) -> list[CaseRow]:
             structure=label,
             d=d,
             Delta=Delta,
-            c=c,
             existence=exist,
             eps=eps,
             chi=chi,
@@ -521,7 +517,6 @@ def enumerate_r3(rules: RuleTable | None = None) -> list[CaseRow]:
             provenance="cited classification; image degree from the "
             "pushforward formula",
         )
-        row = replace(row, struck_by=rules.strike(row))
         if row.struck_by is None:
             out.append(row)
     out.sort(key=lambda r: r.key())
@@ -572,21 +567,16 @@ def _r4_three_vanishings(a: int) -> tuple[Fraction, Fraction, Fraction]:
     # hp(-1) = 3 chi + g - 2 lam - a + 21
     # hp(-2) = 6 chi + 4 g - 7 lam - 3 a + 73
     # hp(-3) = 10 chi + 10 g - 15 lam - 6 a + 155
-    from fractions import Fraction as F
-
     # eliminating chi and g leaves 10 lam + 4 a - 110 = 0
-    lam = F(55 - 2 * a, 5)
+    lam = Fraction(55 - 2 * a, 5)
     g = (3 * lam + a - 31) / 2
     chi = (2 * lam - g + a - 21) / 3
     return lam, g, chi
 
 
-def enumerate_r4(
-    rules: RuleTable | None = None,
-) -> tuple[list[CaseRow], list[R4Family]]:
+def enumerate_r4() -> tuple[list[CaseRow], list[R4Family]]:
     """Partial fourfold enumeration: the determined (a, lam, g, chi) rows
     plus the open families with their degree windows and chi relations."""
-    rules = rules or default_rule_table()
     rows: list[CaseRow] = []
     families: list[R4Family] = []
 
@@ -686,9 +676,9 @@ def coindex_solver(d: int, c: int, r_max: int = 30) -> list[tuple[int, int, int]
 TABLE_PATH = os.path.join(os.path.dirname(__file__), "data", "table1.txt")
 
 
-def load_table(path: str | None = None) -> list[CaseRow]:
+def load_table() -> list[CaseRow]:
     rows = []
-    with open(path or TABLE_PATH, encoding="utf-8") as fh:
+    with open(TABLE_PATH, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -799,7 +789,7 @@ def check_row(row: CaseRow) -> list[RelationReport]:
                 deg_delta == row.Delta and d_delta == row.d * row.Delta,
                 f"pushforward {(deg_delta, d_delta)}",
             )
-        kind = _structure_kind(row.structure)
+        kind = _R3_KIND.get(row.structure)
         if kind is not None and row.eps == 0:
             sols = structure_formulas(kind, row.lam, row.g, row.a, d=row.d)
             ok = any(
@@ -807,12 +797,7 @@ def check_row(row: CaseRow) -> list[RelationReport]:
             )
             rep("structure_system", ok, f"solutions {sols}")
             if delta == 0:
-                if kind == SCROLL_OVER_SURFACE:
-                    k3 = structure_k3(
-                        kind, row.lam, row.g, row.a, row.d * row.Delta
-                    )
-                else:
-                    k3 = structure_k3(kind, row.lam, row.g)
+                k3 = structure_k3(kind, row.lam, row.g, row.a, row.d * row.Delta)
                 rep(
                     "double_point",
                     double_point(
@@ -823,26 +808,9 @@ def check_row(row: CaseRow) -> list[RelationReport]:
     return reps
 
 
-def _structure_kind(label: str) -> str | None:
-    text = label.lower()
-    if "quadric fibration" in text or (
-        "hyperplane section" in text and "quadric threefold" in text
-    ):
-        return QUADRIC_FIBRATION
-    if "rational normal threefold scroll" in text and "degree" not in text:
-        return SCROLL_OVER_CURVE
-    if "scroll over" in text:
-        return SCROLL_OVER_SURFACE
-    return None
-
-
-def check_table(
-    rows: Sequence[CaseRow] | None = None,
-) -> list[tuple[CaseRow, list[RelationReport]]]:
+def check_table() -> list[tuple[CaseRow, list[RelationReport]]]:
     """Per-row relation reports for the shipped classification table."""
-    if rows is None:
-        rows = load_table()
-    return [(row, check_row(row)) for row in rows]
+    return [(row, check_row(row)) for row in load_table()]
 
 
 def table_all_pass(

@@ -4,7 +4,7 @@ Subcommands: hilbert, gb, map, verify, enumerate, table, coindex,
 invariants.  Global flags: --budget (step budget; the QUADBIR_BUDGET
 environment variable sets the default), --format {text|json}.
 The exit status is 0 exactly when no check failed, 1 on a failure, and
-2 on usage or parse errors.
+2 on usage, parse or input errors.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ def cmd_map(args) -> int:
     }
     base = hilbert_data(I, budget=budget)
     out["base_locus"] = _hd_dict(base)
-    status = 0
     if args.image or args.sing:
         try:
             S = image_ideal(F, budget)
@@ -128,7 +127,7 @@ def cmd_map(args) -> int:
             "singular locus: " + json.dumps(out["singular_locus"], sort_keys=True)
         )
     _emit(args, "\n".join(text_lines), out)
-    return status
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -168,10 +167,9 @@ def cmd_enumerate(args) -> int:
     r = args.r
     if r == 1:
         rows = enumerate_r1()
-        lemma = [x for x in rows]
         kept = [x for x in rows if x.struck_by is None]
         text = ["admissible numeric cases:"]
-        for row in lemma:
+        for row in rows:
             mark = f"  struck by {row.struck_by}" if row.struck_by else ""
             text.append(f"  {row.key()}{mark}")
         text.append(f"surviving cases: {len(kept)}")
@@ -187,38 +185,35 @@ def cmd_enumerate(args) -> int:
             )
         _emit(args, "\n".join(text), [_row_dict(x) for x in rows])
         return 0
-    if r == 4:
-        rows, families = enumerate_r4()
-        text = ["determined cases:"]
-        for row in rows:
-            text.append(
-                f"  a={row.a} lambda={row.lam} g={row.g} chi={row.chi} {row.structure}"
-            )
-        text.append("open families:")
-        for f in families:
-            hi = f.lam_max if f.lam_max is not None else "unbounded"
-            text.append(
-                f"  a={f.a}: {f.lam_min} <= lambda <= {hi}, genus cap {f.g_max}"
-            )
-        _emit(
-            args,
-            "\n".join(text),
-            {
-                "rows": [_row_dict(x) for x in rows],
-                "families": [
-                    {
-                        "a": f.a,
-                        "lambda_min": f.lam_min,
-                        "lambda_max": f.lam_max,
-                        "g_max": f.g_max,
-                    }
-                    for f in families
-                ],
-            },
+    rows, families = enumerate_r4()
+    text = ["determined cases:"]
+    for row in rows:
+        text.append(
+            f"  a={row.a} lambda={row.lam} g={row.g} chi={row.chi} {row.structure}"
         )
-        return 0
-    print("enumerate needs --r in {1, 2, 3, 4}", file=sys.stderr)
-    return 2
+    text.append("open families:")
+    for f in families:
+        hi = f.lam_max if f.lam_max is not None else "unbounded"
+        text.append(
+            f"  a={f.a}: {f.lam_min} <= lambda <= {hi}, genus cap {f.g_max}"
+        )
+    _emit(
+        args,
+        "\n".join(text),
+        {
+            "rows": [_row_dict(x) for x in rows],
+            "families": [
+                {
+                    "a": f.a,
+                    "lambda_min": f.lam_min,
+                    "lambda_max": f.lam_max,
+                    "g_max": f.g_max,
+                }
+                for f in families
+            ],
+        },
+    )
+    return 0
 
 
 def cmd_table(args) -> int:
@@ -336,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_enumerate)
 
     s = sub.add_parser("table", help="validate the classification table")
-    s.add_argument("--check", action="store_true", default=True)
     s.set_defaults(fn=cmd_table)
 
     s = sub.add_parser("coindex", help="solve the coindex/secant-defect system")
@@ -367,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except PolyParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetExceeded as e:

@@ -39,6 +39,7 @@ from .ideal_io import read_ideal
 from .invariants import (
     double_point,
     k2_thresholds,
+    liftability_certificate,
     normal_segre_from_chern,
     pushforward_degrees,
     segre_chern,
@@ -59,7 +60,7 @@ from .maps import (
     smooth_certificate,
     solve_inverse,
 )
-from .polyring import Poly, Ring
+from .polyring import Poly
 from .varieties import (
     elliptic_quintic_pfaffian,
     grassmannian_plucker,
@@ -453,12 +454,6 @@ def singular_dim(codim: int, cap: int, expected: int, provenance: str) -> Step:
 # ---------------------------------------------------------------------------
 # one-off steps
 
-def _conic_in_hyperplane() -> Ideal:
-    P3 = Ring(["x0", "x1", "x2", "x3"])
-    x = P3.gens()
-    return Ideal(P3, [x[0] * x[2] - x[1] * x[1], x[3]])
-
-
 def _secant_is_quintic(ctx: _Ctx) -> CheckResult:
     gens = secant_ideal(ctx.base, ctx.budget).generators
     ok = len(gens) == 1 and gens[0].degree() == 5
@@ -555,7 +550,7 @@ def _del_pezzo_lift_certificate(ctx: _Ctx) -> None:
     checks.append(
         CheckResult(
             "NOT_LIFTABLE_CERTIFICATE",
-            PASS if d_delta % deg_delta != 0 else FAIL,
+            FAIL if liftability_certificate(deg_delta, d_delta) else PASS,
             expected="19 does not divide 25",
             computed=f"{d_delta} mod {deg_delta} = {d_delta % deg_delta}",
         )
@@ -579,7 +574,7 @@ CORPUS: dict[str, ExampleSpec] = {
             FULL,
             (gap(1), base(1, 2, 0), image(3, 2), smooth(3, "quadric image", image=True), inverse(1),
              rows((1, 3, 1, 2, 0, 1, 2), (2, 4, 1, 2, 0, 1, 2), (3, 5, 1, 2, 0, 1, 2))),
-            base=_conic_in_hyperplane,
+            base=lambda: in_hyperplane(rational_normal_curve(2)),
         ),
         ExampleSpec(
             "elliptic_quintic_cremona",

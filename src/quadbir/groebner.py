@@ -471,9 +471,6 @@ class Ideal:
         self._gb_cache[order] = gb
         return gb
 
-    def contains(self, f: Poly, budget: StepBudget | int | None = None) -> bool:
-        return membership(f, self, budget=budget)
-
     def __add__(self, other: "Ideal") -> "Ideal":
         if self.ring != other.ring:
             raise ValueError("ideals in different rings")
@@ -696,19 +693,11 @@ def _contained_in(
 def saturate(
     I: Ideal, f: Poly, budget: StepBudget | int | None = None
 ) -> Ideal:
-    """(I : f^inf) by iterated quotient with a stabilization test."""
-    if not f:
-        raise ValueError("cannot saturate by zero")
-    b = _budget(budget)
+    """(I : f^inf) for a variable f and a homogeneous ideal I."""
     fvar = _poly_as_variable(f)
-    if fvar is not None and I.is_homogeneous():
-        return _saturate_by_variable(I, fvar, b)
-    current = I
-    while True:
-        J = ideal_quotient(current, f, b)
-        if _contained_in(J, current, b):
-            return current
-        current = J
+    if fvar is None or not I.is_homogeneous():
+        raise ValueError("saturation needs a variable and a homogeneous ideal")
+    return _saturate_by_variable(I, fvar, _budget(budget))
 
 
 def _poly_as_variable(f: Poly) -> int | None:

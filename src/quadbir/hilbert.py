@@ -346,12 +346,6 @@ def graded_piece(
     return len(basis), basis
 
 
-def graded_piece_dim(
-    I: Ideal, e: int, budget: StepBudget | int | None = None
-) -> int:
-    return graded_piece(I, e, budget)[0]
-
-
 def _degree_monomials(nvars: int, degree: int) -> list[Exponent]:
     """All degree-d monomials, leading monomial first (descending degrevlex)."""
     out: list[Exponent] = []

@@ -64,10 +64,8 @@ def read_ideal(path: str) -> Ideal:
         return parse_ideal_text(fh.read())
 
 
-def serialize_ideal(I: Ideal, comments: list[str] | None = None) -> str:
+def serialize_ideal(I: Ideal) -> str:
     out = io.StringIO()
-    for c in comments or []:
-        out.write(f"# {c}\n")
     out.write("ring " + " ".join(I.ring.variables) + " over QQ\n")
     out.write("ideal:\n")
     for g in I.generators:

@@ -33,53 +33,6 @@ def _as_int(x: Fraction, what: str) -> int:
     return int(x)
 
 
-@dataclass
-class InvariantRecord:
-    """The numeric state of one transformation; None marks unknown fields.
-
-    r: dim of the base locus; n: source dimension; a: ambient gap of the
-    image (S in P^(n+a)); lam: deg of the base locus; g: sectional genus;
-    chi: Euler characteristic of the structure sheaf; d: inverse degree;
-    Delta: deg of the image; c: coindex; eps: 1 iff the base locus is
-    degenerate (spans a hyperplane).
-    """
-
-    r: int | None = None
-    n: int | None = None
-    a: int | None = None
-    lam: int | None = None
-    g: int | None = None
-    chi: int | None = None
-    d: int | None = None
-    Delta: int | None = None
-    c: int | None = None
-    eps: int | None = None
-
-    @property
-    def delta(self) -> int | None:
-        if self.r is None or self.n is None:
-            return None
-        return 2 * self.r + 2 - self.n
-
-    @property
-    def r_prime(self) -> int | None:
-        if self.r is None or self.n is None:
-            return None
-        return 2 * self.n - 2 * self.r - 4
-
-    def check_relations(self) -> list[str]:
-        """Names of violated closed-form relations among the known fields."""
-        bad = []
-        if self.c is not None and None not in (self.r, self.n, self.d):
-            if self.c != coindex_delta(self.r, self.n, self.d)[0]:
-                bad.append("coindex")
-        if self.delta is not None and self.delta < 0:
-            bad.append("secant_defect_nonnegative")
-        if self.eps is not None and self.eps not in (0, 1):
-            bad.append("eps_binary")
-        return bad
-
-
 @dataclass(frozen=True)
 class ClassProfile:
     """Chern and Segre degree sequences (c_j, s_j for j = 1..r)."""
@@ -323,7 +276,6 @@ def double_point(
     Delta: int | None = None,
     a: int | None = None,
     k3: int | None = None,
-    n: int | None = None,
 ) -> Fraction:
     """Residual of the double-point identity in the secant-defect-zero case
     (n = 2r + 2); zero means the invariants are consistent.
@@ -332,8 +284,6 @@ def double_point(
     the surface Chern degrees; r=3 compares the stated K^3 value with the
     closed form lam^2 + 23 lam - 24 g - (7d+1) Delta - 4d + 36 a - 226.
     """
-    if n is not None and n != 2 * r + 2:
-        raise ValueError("double point formula needs secant defect zero")
     if r == 1:
         # s_1(T) = 2g - 2, s_0 . H = lam
         return Fraction(2 * (2 * d - 1) - (lam * lam - (2 * g - 2) - 3 * lam))
@@ -485,11 +435,9 @@ def coindex_delta(r: int, n: int, d: int) -> tuple[int, int, int, int]:
     return c, delta, r_prime, deg_sec
 
 
-def k2_thresholds(lam: int, s: int, h1_vanishes: bool = True) -> dict:
+def k2_thresholds(lam: int, s: int) -> dict:
     """Ideal-generation thresholds for a smooth linearly normal variety of
     degree lam and codimension s (assuming the needed h^1 vanishing)."""
-    if not h1_vanishes:
-        raise ValueError("thresholds require the h^1 vanishing hypothesis")
     return {
         "acm": lam <= 2 * s + 1,
         "quadric_generated": lam <= 2 * s,

@@ -33,6 +33,11 @@ from .hilbert import _degree_monomials, graded_piece
 from .linalg import echelon, kernel_basis
 from .polyring import Poly, Ring
 
+# size caps past which a certificate raises HeavyComputation
+_CHART_MINOR_CAP = 4000  # Jacobian minors of one simplified chart
+_INVERSE_UNKNOWN_CAP = 2000  # unknown coefficients of the inverse solve
+
+
 class HeavyComputation(RuntimeError):
     """The requested symbolic computation exceeds the configured size cap."""
 
@@ -73,14 +78,9 @@ class RationalMap:
         return self.target_ring.nvars - 1
 
 
-def _target_ring(n_components: int, prefix: str = "y") -> Ring:
-    return Ring([f"{prefix}{i}" for i in range(n_components)])
-
-
 def map_from_ideal(
     I: Ideal,
     budget: StepBudget | int | None = None,
-    target_prefix: str = "y",
 ) -> RationalMap:
     """The rational map defined by all quadrics through V(I).
 
@@ -90,7 +90,7 @@ def map_from_ideal(
     dim2, basis = graded_piece(I, 2, budget)
     if dim2 == 0:
         raise ValueError("ideal contains no quadrics")
-    return RationalMap(I.ring, _target_ring(dim2, target_prefix), tuple(basis))
+    return RationalMap(I.ring, Ring([f"y{i}" for i in range(dim2)]), tuple(basis))
 
 
 def ambient_gap(F: RationalMap) -> int:
@@ -249,7 +249,6 @@ def smooth_certificate(
     I: Ideal,
     dim_proj: int,
     budget: StepBudget | int | None = None,
-    minor_cap: int = 4000,
 ) -> bool:
     """Certify that V(I) is smooth of the stated dimension.
 
@@ -281,7 +280,7 @@ def smooth_certificate(
         if cprime <= 0:
             return False
         nminors = comb(len(sg), cprime) * comb(sring.nvars, cprime)
-        if nminors > minor_cap:
+        if nminors > _CHART_MINOR_CAP:
             raise HeavyComputation(
                 f"chart {ring.variables[var]}: {nminors} minors after simplification"
             )
@@ -348,9 +347,7 @@ def map_type(
     return (F.degree, d)
 
 
-def solve_inverse(
-    F: RationalMap, d: int, unknown_cap: int = 2000
-) -> RationalMap | None:
+def solve_inverse(F: RationalMap, d: int) -> RationalMap | None:
     """Search a degree-d representative G of the inverse: G(F(x)) = x * h(x).
 
     Sets up the exact linear system in the coefficients of G and of the
@@ -363,7 +360,7 @@ def solve_inverse(
     h_monos = _degree_monomials(n1, 2 * d - 1)
     ng = n1 * len(g_monos)
     nunk = ng + len(h_monos)
-    if nunk > unknown_cap:
+    if nunk > _INVERSE_UNKNOWN_CAP:
         raise HeavyComputation(f"{nunk} unknowns in the inverse solve")
     # one equation per (component i, source monomial e) of G_i(F) = x_i * h
     rows: dict = {}

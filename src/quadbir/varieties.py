@@ -18,23 +18,23 @@ from .maps import nonzero_minors
 from .polyring import Poly, Ring
 
 
-def rational_normal_curve(e: int, prefix: str = "x") -> Ideal:
+def rational_normal_curve(e: int) -> Ideal:
     """Degree-e rational normal curve in P^e (2x2 minors of the moving row)."""
     if e < 2:
         raise ValueError("need degree at least 2")
-    ring = Ring([f"{prefix}{i}" for i in range(e + 1)])
+    ring = Ring([f"x{i}" for i in range(e + 1)])
     x = ring.gens()
     matrix = [[x[i] for i in range(e)], [x[i + 1] for i in range(e)]]
     return Ideal(ring, nonzero_minors(matrix, 2, ring))
 
 
-def veronese(n: int, d: int = 2, prefix: str = "x") -> Ideal:
+def veronese(n: int, d: int = 2) -> Ideal:
     """Quadratic Veronese embedding of P^n (2x2 minors of the symmetric
     catalecticant); only d = 2 is supported."""
     if d != 2:
         raise ValueError("only the quadratic Veronese is supported")
     N = (n + 1) * (n + 2) // 2 - 1
-    ring = Ring([f"{prefix}{i}" for i in range(N + 1)])
+    ring = Ring([f"x{i}" for i in range(N + 1)])
     x = ring.gens()
     index = {}
     k = 0
@@ -47,23 +47,23 @@ def veronese(n: int, d: int = 2, prefix: str = "x") -> Ideal:
     return Ideal(ring, _dedupe(list(nonzero_minors(matrix, 2, ring))))
 
 
-def segre(a: int, b: int, prefix: str = "x") -> Ideal:
+def segre(a: int, b: int) -> Ideal:
     """Segre product P^a x P^b in P^(ab+a+b) (2x2 minors of the generic
     (a+1) x (b+1) matrix)."""
-    ring = Ring([f"{prefix}{i}" for i in range((a + 1) * (b + 1))])
+    ring = Ring([f"x{i}" for i in range((a + 1) * (b + 1))])
     x = ring.gens()
     matrix = [[x[i * (b + 1) + j] for j in range(b + 1)] for i in range(a + 1)]
     return Ideal(ring, nonzero_minors(matrix, 2, ring))
 
 
-def scroll(degrees: tuple[int, ...] | list[int], prefix: str = "x") -> Ideal:
+def scroll(degrees: tuple[int, ...] | list[int]) -> Ideal:
     """Rational normal scroll of the given fiber degrees, as 2x2 minors of
     the juxtaposed catalecticant blocks."""
     degrees = tuple(degrees)
     if not degrees or any(d < 1 for d in degrees):
         raise ValueError("need positive fiber degrees")
     total = sum(degrees) + len(degrees) - 1
-    ring = Ring([f"{prefix}{i}" for i in range(total + 1)])
+    ring = Ring([f"x{i}" for i in range(total + 1)])
     x = ring.gens()
     top, bottom = [], []
     offset = 0
@@ -75,7 +75,7 @@ def scroll(degrees: tuple[int, ...] | list[int], prefix: str = "x") -> Ideal:
     return Ideal(ring, nonzero_minors([top, bottom], 2, ring))
 
 
-def segre_product(dims: tuple[int, ...] | list[int], prefix: str = "x") -> Ideal:
+def segre_product(dims: tuple[int, ...] | list[int]) -> Ideal:
     """Segre product of several projective spaces.
 
     Coordinates are indexed by tuples of indices; the ideal is generated by
@@ -86,7 +86,7 @@ def segre_product(dims: tuple[int, ...] | list[int], prefix: str = "x") -> Ideal
 
     dims = tuple(dims)
     tuples = list(iproduct(*[range(d + 1) for d in dims]))
-    names = [prefix + "_" + "".join(map(str, t)) for t in tuples]
+    names = ["x_" + "".join(map(str, t)) for t in tuples]
     ring = Ring(names)
     coord = {t: ring.var(nm) for t, nm in zip(tuples, names)}
     gens = []
@@ -118,13 +118,13 @@ def hyperplane_slice(I: Ideal, coeffs: list[int]) -> Ideal:
     return Ideal(small, [p for p in (g.substitute(images) for g in I.generators) if p])
 
 
-def grassmannian_plucker(k: int, n: int, prefix: str = "p") -> Ideal:
+def grassmannian_plucker(k: int, n: int) -> Ideal:
     """Grassmannian of k-planes in P^n under the Pluecker embedding;
     supported for lines (k = 1)."""
     if k != 1:
         raise ValueError("only line Grassmannians are supported")
     pairs = list(combinations(range(n + 1), 2))
-    names = [f"{prefix}{i}{j}" for i, j in pairs]
+    names = [f"p{i}{j}" for i, j in pairs]
     ring = Ring(names)
     coord = {pair: ring.var(name) for pair, name in zip(pairs, names)}
 
@@ -142,7 +142,7 @@ def grassmannian_plucker(k: int, n: int, prefix: str = "p") -> Ideal:
     return Ideal(ring, gens)
 
 
-def elliptic_quintic_pfaffian(prefix: str = "x") -> Ideal:
+def elliptic_quintic_pfaffian() -> Ideal:
     """A fixed smooth elliptic normal quintic curve in P^4.
 
     Principal 4x4 Pfaffians of the cyclically symmetric skew matrix with
@@ -153,7 +153,7 @@ def elliptic_quintic_pfaffian(prefix: str = "x") -> Ideal:
 
     and cut out a smooth curve of degree 5 and genus 1 spanning P^4.
     """
-    ring = Ring([f"{prefix}{i}" for i in range(5)])
+    ring = Ring([f"x{i}" for i in range(5)])
     x = ring.gens()
     M = [[ring.zero()] * 5 for _ in range(5)]
     for i in range(5):
@@ -172,39 +172,17 @@ def elliptic_quintic_pfaffian(prefix: str = "x") -> Ideal:
     return Ideal(ring, gens)
 
 
-def in_hyperplane(I: Ideal, extra: int = 1, prefix: str | None = None) -> Ideal:
-    """View V(I) inside a larger projective space by appending coordinates
-    and the linear forms cutting the original span."""
+def in_hyperplane(I: Ideal) -> Ideal:
+    """View V(I) inside the hyperplane v = 0 of a projective space with one
+    more coordinate v."""
     ring = I.ring
-    base = prefix or ring.variables[0].rstrip("0123456789")
-    start = ring.nvars
-    names = list(ring.variables) + [f"{base}{start + i}" for i in range(extra)]
-    big = Ring(names)
+    v = ring.variables[0].rstrip("0123456789") + str(ring.nvars)
+    big = Ring(list(ring.variables) + [v])
     lifted = [
-        Poly(big, {e + (0,) * extra: c for e, c in g.terms.items()})
+        Poly(big, {e + (0,): c for e, c in g.terms.items()})
         for g in I.generators
     ]
-    lifted += [big.var(n) for n in names[start:]]
-    return Ideal(big, lifted)
-
-
-def standard_variety(kind: str, *params) -> Ideal:
-    """Dispatch by name: rational_normal_curve(e), veronese(n, 2),
-    segre(a, b), scroll(d1, ..., dk), grassmannian_plucker(1, n),
-    elliptic_quintic()."""
-    if kind == "rational_normal_curve":
-        return rational_normal_curve(*params)
-    if kind == "veronese":
-        return veronese(*params)
-    if kind == "segre":
-        return segre(*params)
-    if kind == "scroll":
-        return scroll(params)
-    if kind == "grassmannian_plucker":
-        return grassmannian_plucker(*params)
-    if kind == "elliptic_quintic":
-        return elliptic_quintic_pfaffian(*params)
-    raise ValueError(f"unsupported variety kind {kind!r}")
+    return Ideal(big, lifted + [big.var(v)])
 
 
 def _dedupe(polys: list[Poly]) -> list[Poly]:

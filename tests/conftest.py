@@ -6,6 +6,7 @@ counts out to the regularity witness plus three).  Exact arithmetic, no
 tolerances.  Set QUADBIR_TEST_PARANOID=0 to disable."""
 
 import os
+import sys
 
 import pytest
 
@@ -104,23 +105,23 @@ def paranoid_mode():
     if os.environ.get("QUADBIR_TEST_PARANOID", "1") == "0":
         yield
         return
-    import quadbir.corpus as corpus
-    import quadbir.maps as maps
-
-    groebner.buchberger = _checked_buchberger
-    groebner._paranoid_stats = _stats
-    hilbert.hilbert_data = _checked_hilbert_data
-    corpus.hilbert_data = _checked_hilbert_data
-    patched_maps = False
-    if getattr(maps, "buchberger", None) is _orig_buchberger:
-        maps.buchberger = _checked_buchberger
-        patched_maps = True
+    # rebind every module-level name bound to an original, so that calls
+    # through a name a module imported itself are checked too
+    wrappers = ((_orig_buchberger, _checked_buchberger),
+                (_orig_hilbert_data, _checked_hilbert_data))
+    this = sys.modules[__name__]
+    undo = []
+    for module in list(sys.modules.values()):
+        if module is this:
+            continue
+        for name, value in list(getattr(module, "__dict__", {}).items()):
+            for orig, wrapper in wrappers:
+                if value is orig:
+                    setattr(module, name, wrapper)
+                    undo.append((module, name, orig))
     yield
-    groebner.buchberger = _orig_buchberger
-    hilbert.hilbert_data = _orig_hilbert_data
-    corpus.hilbert_data = _orig_hilbert_data
-    if patched_maps:
-        maps.buchberger = _orig_buchberger
+    for module, name, value in undo:
+        setattr(module, name, value)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from quadbir.cli import main
 from quadbir.ideal_io import serialize_ideal
 from quadbir.varieties import rational_normal_curve
@@ -9,7 +11,8 @@ DATA = os.path.join(
     os.path.dirname(__file__), "..", "src", "quadbir", "data", "ideals"
 )
 QUARTIC = os.path.join(DATA, "quartic_curve_base.ideal")
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "verify_all_budget60000_seed7.json")
+TEST_DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(TEST_DATA, "verify_all_budget60000_seed7.json")
 
 
 def run(capsys, *argv):
@@ -70,6 +73,15 @@ def test_enumerate_commands(capsys):
     assert "open families" in out
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_enumerate_json_is_pinned(capsys, r):
+    # every field of every row, struck rows and labels included
+    code, out, _ = run(capsys, "--format", "json", "enumerate", "--r", str(r))
+    assert code == 0
+    with open(os.path.join(TEST_DATA, f"enumerate_r{r}.json"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 def test_table_command(capsys):
     code, out, _ = run(capsys, "table")
     assert code == 0
@@ -102,7 +114,8 @@ def test_verify_command_and_exit_codes(capsys):
 
 
 def test_verify_all_is_deterministic(capsys):
-    # a starved budget downgrades heavy work deterministically; two runs
+    # 60,000 steps cover every example (the largest uses 3,842), so the
+    # only SKIPPED_HEAVY checks are those behind the heavy gate; two runs
     # must produce byte-identical canonical reports, equal to the golden
     # report kept in tests/data
     argv = ["--format", "json", "--budget", "60000", "verify", "--all"]
@@ -123,3 +136,32 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 3" in err
     code, _, err = run(capsys, "hilbert", str(tmp_path / "missing.ideal"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["coindex", "--d", "0", "--c", "2"], "need d >= 1"),
+        (["coindex", "--d", "3", "--c", "2", "--r-max", "31"], "r_max <= 30"),
+    ],
+)
+def test_usage_error_exit_code(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
+def test_inhomogeneous_hilbert_exit_code(tmp_path, capsys):
+    path = tmp_path / "affine.ideal"
+    path.write_text("ring x y over QQ\nideal:\nx^2 - y\n")
+    code, _, err = run(capsys, "hilbert", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_map_without_quadrics_exit_code(tmp_path, capsys):
+    path = tmp_path / "cubic.ideal"
+    path.write_text("ring x y z over QQ\nideal:\nx^3 - y*z^2\n")
+    code, _, err = run(capsys, "map", str(path))
+    assert code == 2
+    assert err == "error: ideal contains no quadrics\n"

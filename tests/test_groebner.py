@@ -151,6 +151,11 @@ def test_quotient_and_saturation():
     assert [str(g) for g in saturate(Ideal(ring, [x * y]), x).generators] == ["y"]
     # saturating by an element that already divides out completely gives (1)
     assert contains_one(saturate(Ideal(ring, [x * x]), x))
+    # saturation takes a variable and a homogeneous ideal
+    with pytest.raises(ValueError):
+        saturate(Ideal(ring, [x * y]), x + y)
+    with pytest.raises(ValueError):
+        saturate(Ideal(ring, [x * y - 1]), x)
 
 
 def test_saturation_fixed_point():

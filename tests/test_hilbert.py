@@ -7,7 +7,6 @@ import pytest
 from quadbir.groebner import Ideal, saturate_irrelevant
 from quadbir.hilbert import (
     graded_piece,
-    graded_piece_dim,
     hilbert_data,
     hilbert_series_numerator,
     initial_ideal,
@@ -210,7 +209,7 @@ def test_generic_section_first_difference():
 def test_graded_piece_dims():
     ring = Ring(["x"])
     I = Ideal(ring, [ring.parse("x^2")])
-    assert graded_piece_dim(I, 2) == 1
+    assert graded_piece(I, 2)[0] == 1
     tc4 = rational_normal_curve(3)
     big = Ring(["x0", "x1", "x2", "x3", "x4"])
     lift = [big.var(v) for v in ("x0", "x1", "x2", "x3")]
@@ -232,4 +231,4 @@ def test_graded_piece_thirteen():
         "line_times_quadric_base.ideal",
     )
     I = read_ideal(path)
-    assert graded_piece_dim(I, 2) == 13
+    assert graded_piece(I, 2)[0] == 13

@@ -220,15 +220,3 @@ def test_r4_scroll_lattice():
     c2h2, c3h = r4_chern_lattice(first, second, 13)
     assert 37 * c2h2 - 13 == first
     assert 37 * c3h + 7 * 13 == second
-
-
-def test_invariant_record_relations():
-    from quadbir.invariants import InvariantRecord
-
-    rec = InvariantRecord(r=3, n=8, d=3, c=2, eps=0)
-    assert rec.delta == 0 and rec.r_prime == 6
-    assert rec.check_relations() == []
-    bad = InvariantRecord(r=3, n=8, d=3, c=1)
-    assert "coindex" in bad.check_relations()
-    degenerate = InvariantRecord(r=3, n=10)
-    assert "secant_defect_nonnegative" in degenerate.check_relations()

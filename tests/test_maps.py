@@ -4,7 +4,7 @@ import os
 import pytest
 
 from quadbir.groebner import Ideal, ideal_equal, membership
-from quadbir.hilbert import graded_piece_dim, hilbert_data
+from quadbir.hilbert import graded_piece, hilbert_data
 from quadbir.ideal_io import read_ideal
 from quadbir.maps import (
     NotACertificate,
@@ -69,7 +69,7 @@ def test_ambient_gap_matches_graded_piece(quadric_in_hyperplane):
     for I in (quadric_in_hyperplane, in_hyperplane(rational_normal_curve(3))):
         F = map_from_ideal(I)
         n = I.ring.nvars - 1
-        assert ambient_gap(F) == graded_piece_dim(I, 2) - (n + 1)
+        assert ambient_gap(F) == graded_piece(I, 2)[0] - (n + 1)
 
 
 def test_forward_annihilation(quartic_map):

@@ -1,6 +1,6 @@
 import pytest
 
-from quadbir.hilbert import graded_piece_dim, hilbert_data
+from quadbir.hilbert import graded_piece, hilbert_data
 from quadbir.maps import smooth_certificate
 from quadbir.varieties import (
     elliptic_quintic_pfaffian,
@@ -11,7 +11,6 @@ from quadbir.varieties import (
     scroll,
     segre,
     segre_product,
-    standard_variety,
     veronese,
 )
 
@@ -39,6 +38,7 @@ def test_segre_threefold():
 
 def test_scroll_degrees():
     I = scroll((1, 4))
+    assert len(I.generators) == 10
     hd = hilbert_data(I)
     assert (hd.dim_proj, hd.degree, hd.sectional_genus) == (2, 5, 0)
     J = scroll((2, 2, 2))
@@ -51,6 +51,8 @@ def test_grassmannian_plucker():
     assert len(I.generators) == 5
     hd = hilbert_data(I)
     assert (hd.dim_proj, hd.degree) == (6, 5)
+    with pytest.raises(ValueError):
+        grassmannian_plucker(2, 5)
 
 
 def test_elliptic_quintic_model():
@@ -60,7 +62,7 @@ def test_elliptic_quintic_model():
     assert (hd.dim_proj, hd.degree, hd.sectional_genus) == (1, 5, 1)
     assert smooth_certificate(I, 1)
     # nondegenerate: no quadric relations are linear, and the gap is zero
-    assert graded_piece_dim(I, 2) == 5
+    assert graded_piece(I, 2)[0] == 5
 
 
 def test_segre_product_cube():
@@ -77,14 +79,3 @@ def test_hyperplane_helpers():
     hd = hilbert_data(sliced)
     assert (hd.dim_proj, hd.degree, hd.sectional_genus) == (2, 6, 1)
 
-
-def test_standard_variety_dispatch():
-    assert len(standard_variety("rational_normal_curve", 3).generators) == 3
-    assert len(standard_variety("veronese", 2, 2).generators) == 6
-    assert len(standard_variety("segre", 1, 2).generators) == 3
-    assert len(standard_variety("scroll", 1, 4).generators) == 10
-    assert len(standard_variety("grassmannian_plucker", 1, 4).generators) == 5
-    with pytest.raises(ValueError):
-        standard_variety("grassmannian_plucker", 2, 5)
-    with pytest.raises(ValueError):
-        standard_variety("weighted_flag")
