@@ -202,6 +202,9 @@ def nonzero_minors(mat: Sequence[Sequence[Poly]], k: int, ring: Ring):
             d = minor(0, cols)
             if d:
                 yield d
+        # `minor` refers to itself, so without this the memo would live on
+        # until the cycle collector next runs
+        memo.clear()
 
 
 def _minor_span(polys: Sequence[Poly], k: int, ring: Ring) -> list[Poly]:
@@ -347,7 +350,9 @@ def map_type(
     return (F.degree, d)
 
 
-def solve_inverse(F: RationalMap, d: int) -> RationalMap | None:
+def solve_inverse(
+    F: RationalMap, d: int
+) -> RationalMap | None:
     """Search a degree-d representative G of the inverse: G(F(x)) = x * h(x).
 
     Sets up the exact linear system in the coefficients of G and of the
