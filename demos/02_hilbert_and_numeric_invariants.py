@@ -10,7 +10,7 @@ from quadbir.invariants import coindex_delta, normal_segre_from_chern
 from quadbir.varieties import (
     elliptic_quintic_pfaffian,
     rational_normal_curve,
-    segre,
+    segre_product,
     veronese,
 )
 
@@ -18,7 +18,7 @@ print("symbolic Hilbert data:")
 for label, I in [
     ("twisted cubic", rational_normal_curve(3)),
     ("Veronese surface", veronese(2, 2)),
-    ("Segre threefold", segre(1, 2)),
+    ("Segre threefold", segre_product((1, 2))),
     ("elliptic quintic", elliptic_quintic_pfaffian()),
 ]:
     hd = hilbert_data(I)

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: hilbert, gb, map, verify, enumerate, table, coindex,
-invariants.  Global flags: --budget (step budget; the QUADBIR_BUDGET
-environment variable sets the default), --format {text|json}.
+invariants.  Global flags: --budget (step budget for basis computations,
+default 8,000,000), --format {text|json}.
 The exit status is 0 exactly when no check failed, 1 on a failure, and
 2 on usage, parse or input errors.
 """
@@ -89,7 +89,7 @@ def cmd_gb(args) -> int:
 def cmd_map(args) -> int:
     I = read_ideal(args.ideal_file)
     budget = StepBudget(args.budget)
-    F = map_from_ideal(I, budget)
+    F = map_from_ideal(I)
     out: dict = {
         "source_dim": F.source_dim,
         "target_dim": F.target_dim,
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quadbir",
         description="exact toolkit for quadratic birational transformations",
     )
-    p.add_argument("--budget", type=int, default=None, help="step budget for basis computations (default from QUADBIR_BUDGET)")
+    p.add_argument("--budget", type=int, default=None, help="step budget for basis computations (default 8,000,000)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     sub = p.add_subparsers(dest="command", required=True)
 

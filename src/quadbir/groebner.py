@@ -12,7 +12,6 @@ a distinct `BudgetExceeded` error instead of hanging.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, count, repeat
@@ -30,7 +29,6 @@ from .polyring import (
 )
 
 DEFAULT_STEP_BUDGET = 8_000_000
-_BUDGET_ENV = "QUADBIR_BUDGET"
 
 
 class BudgetExceeded(RuntimeError):
@@ -51,14 +49,12 @@ class StepBudget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int | None = None):
-        if limit is None:
-            limit = int(os.environ.get(_BUDGET_ENV, DEFAULT_STEP_BUDGET))
-        self.limit = limit
+        self.limit = DEFAULT_STEP_BUDGET if limit is None else limit
         self.used = 0
 
-    def tick(self, n: int = 1) -> None:
-        self.used += n
-        if self.limit is not None and self.used > self.limit:
+    def tick(self) -> None:
+        self.used += 1
+        if self.used > self.limit:
             raise BudgetExceeded(self.used)
 
 
@@ -471,11 +467,6 @@ class Ideal:
         self._gb_cache[order] = gb
         return gb
 
-    def __add__(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
-            raise ValueError("ideals in different rings")
-        return Ideal(self.ring, self.generators + other.generators)
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators[:4])
         more = "" if len(self.generators) <= 4 else f", ... ({len(self.generators)} gens)"
@@ -576,19 +567,27 @@ def membership(
     f: Poly, ideal: Ideal, budget: StepBudget | int | None = None
 ) -> bool:
     """True iff f reduces to zero modulo a Groebner basis of the ideal."""
-    if not f:
+    return _contained_in([f], ideal, _budget(budget))
+
+
+def _contained_in(polys: Sequence[Poly], I: Ideal, budget: StepBudget) -> bool:
+    """True iff every poly reduces to zero modulo I's degrevlex basis,
+    which is packed once for all of them."""
+    if any(f.ring != I.ring for f in polys):
+        raise ValueError("ideals in different rings")
+    polys = [f for f in polys if f]
+    if not polys:
         return True
-    if ideal.is_zero():
+    if I.is_zero():
         return False
-    b = _budget(budget)
-    gb = ideal.groebner(DEGREVLEX, b)
+    gb = I.groebner(DEGREVLEX, budget)
 
     def run(P: _Packing) -> bool:
         entries = [_Entry(_to_int_terms(g, P), i, P) for i, g in enumerate(gb)]
-        return not _reduce_int(_to_int_terms(f, P), entries, P, b)
+        return all(not _reduce_int(_to_int_terms(f, P), entries, P, budget) for f in polys)
 
-    degree = max(g.degree() for g in (f, *gb))
-    return _widening(DEGREVLEX, f.ring.nvars, degree, b, run)
+    degree = max(g.degree() for g in (*polys, *gb))
+    return _widening(DEGREVLEX, I.ring.nvars, degree, budget, run)
 
 
 def contains_one(ideal: Ideal, budget: StepBudget | int | None = None) -> bool:
@@ -599,23 +598,15 @@ def contains_one(ideal: Ideal, budget: StepBudget | int | None = None) -> bool:
 def ideal_equal(
     I: Ideal, J: Ideal, budget: StepBudget | int | None = None
 ) -> bool:
-    """Mutual membership of generators; order-independent."""
+    """Equality of the unique reduced degrevlex bases."""
+    if I.ring != J.ring:
+        raise ValueError("ideals in different rings")
     b = _budget(budget)
-    return all(membership(g, J, budget=b) for g in I.generators) and all(
-        membership(g, I, budget=b) for g in J.generators
-    )
+    return I.groebner(DEGREVLEX, b) == J.groebner(DEGREVLEX, b)
 
 
 # ---------------------------------------------------------------------------
 # elimination
-
-def _project_ring(ring: Ring, drop: int) -> Ring:
-    return Ring(ring.variables[drop:])
-
-
-def _project_poly(p: Poly, drop: int, target: Ring) -> Poly:
-    return Poly(target, {e[drop:]: c for e, c in p.terms.items()})
-
 
 def eliminate(
     I: Ideal, drop: int, budget: StepBudget | int | None = None
@@ -627,9 +618,9 @@ def eliminate(
     if drop <= 0 or drop >= I.ring.nvars:
         raise ValueError("drop count must be between 1 and nvars-1")
     gb = I.groebner(MonomialOrder.elimination(drop), budget)
-    target = _project_ring(I.ring, drop)
+    target = Ring(I.ring.variables[drop:])
     kept = [
-        _project_poly(g, drop, target)
+        Poly(target, {e[drop:]: c for e, c in g.terms.items()})
         for g in gb
         if all(all(x == 0 for x in e[:drop]) for e in g.terms)
     ]
@@ -669,9 +660,7 @@ def intersect(
     t = big.var(tname)
     gens = [t * lift(g) for g in I.generators]
     gens += [(big.one() - t) * lift(g) for g in J.generators]
-    inter = eliminate(Ideal(big, gens), 1, budget)
-    # inter lives in a ring with the same variable names as `ring`
-    return Ideal(ring, [Poly(ring, dict(p.terms)) for p in inter.generators])
+    return eliminate(Ideal(big, gens), 1, budget)
 
 
 def ideal_quotient(
@@ -682,12 +671,6 @@ def ideal_quotient(
         raise ValueError("cannot quotient by zero")
     inter = intersect(I, Ideal(I.ring, [f]), budget)
     return Ideal(I.ring, [exact_divide(g, f) for g in inter.generators])
-
-
-def _contained_in(
-    J: Ideal, I: Ideal, budget: StepBudget
-) -> bool:
-    return all(membership(g, I, budget=budget) for g in J.generators)
 
 
 def saturate(
@@ -741,12 +724,12 @@ def saturate_irrelevant(
     sats = []
     for var in range(I.ring.nvars):
         S = _saturate_by_variable(I, var, b)
-        if _contained_in(S, I, b):
+        if _contained_in(S.generators, I, b):
             return I
         sats.append(S)
     out = sats[0]
     for S in sats[1:]:
-        if not _contained_in(out, S, b):
+        if not _contained_in(out.generators, S, b):
             out = intersect(out, S, b)
     return out
 

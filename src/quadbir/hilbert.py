@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 from .groebner import Ideal, StepBudget, _budget
@@ -141,8 +140,6 @@ def standard_monomial_count(
 ) -> int:
     """Brute-force count of degree-d monomials outside the monomial ideal."""
 
-    count = 0
-    stack = [((), degree)]
     gens = list(initial_gens)
     exps: list[int] = []
 
@@ -195,24 +192,6 @@ def poly_eval(coeffs: Sequence[Fraction], t) -> Fraction:
     for c in reversed(list(coeffs)):
         acc = acc * t + c
     return acc
-
-
-def poly_shift(coeffs: Sequence[Fraction], delta: int) -> tuple[Fraction, ...]:
-    """Coefficients of p(t + delta)."""
-    out = [Fraction(0)] * len(coeffs)
-    for k, a in enumerate(coeffs):
-        for j in range(k + 1):
-            out[j] += a * comb(k, j) * Fraction(delta) ** (k - j)
-    return tuple(out)
-
-
-def poly_difference(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """p(t) - p(t-1), trimmed."""
-    shifted = poly_shift(coeffs, -1)
-    out = [a - b for a, b in zip(coeffs, shifted)]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -309,36 +288,27 @@ def hilbert_data(
         term = _binomial_poly(k - j, k)
         for idx, c in enumerate(term):
             hp[idx] += qj * c
-    chi = poly_eval(hp, 0)
-    genus: int | None = None
-    if dim_proj >= 1:
-        curve = tuple(hp)
-        for _ in range(dim_proj - 1):
-            curve = poly_difference(curve)
-        genus_f = 1 - poly_eval(curve, 0)
-        genus = int(genus_f)
-    chi_i = int(chi)
+    # a curve section has Hilbert polynomial sum_j q_j * (t - j + 1), the
+    # (k-1)-th difference of hp, so its genus 1 - hp_curve(0) is 1 - Q(1) + Q'(1)
+    genus = 1 - degree + sum(j * qj for j, qj in enumerate(q)) if dim_proj >= 1 else None
     return HilbertData(
-        numerator, nvars, tuple(hp), dim_proj, degree, genus, chi_i, m0
+        numerator, nvars, tuple(hp), dim_proj, degree, genus, int(poly_eval(hp, 0)), m0
     )
 
 
-def graded_piece(
-    I: Ideal, e: int, budget: StepBudget | int | None = None
-) -> tuple[int, list[Poly]]:
-    """Dimension and a deterministic echelon basis of the degree-e piece of I."""
-    b = _budget(budget)
+def graded_piece(I: Ideal, e: int) -> tuple[int, list[Poly]]:
+    """Dimension and the reduced echelon basis of the degree-e piece of a
+    homogeneous I, which the degree-e multiples of its generators span."""
+    if not I.is_homogeneous():
+        raise ValueError("graded piece needs a homogeneous ideal")
     ring = I.ring
-    if I.is_zero():
-        return 0, []
-    gb = I.groebner(DEGREVLEX, b)
     nvars = ring.nvars
     monos = _degree_monomials(nvars, e)
     col = {m: i for i, m in enumerate(monos)}
     rows = [
         {col[tuple(x + y for x, y in zip(shift, ge))]: c for ge, c in g.terms.items()}
-        for g in gb
-        if g.degree() <= e and g.is_homogeneous()
+        for g in I.generators
+        if g.degree() <= e
         for shift in _degree_monomials(nvars, e - g.degree())
     ]
     echelon, _ = rref(rows)

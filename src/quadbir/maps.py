@@ -78,16 +78,13 @@ class RationalMap:
         return self.target_ring.nvars - 1
 
 
-def map_from_ideal(
-    I: Ideal,
-    budget: StepBudget | int | None = None,
-) -> RationalMap:
+def map_from_ideal(I: Ideal) -> RationalMap:
     """The rational map defined by all quadrics through V(I).
 
     Components form the deterministic echelon basis of the degree-2 piece
     of the ideal, so downstream image ideals are reproducible.
     """
-    dim2, basis = graded_piece(I, 2, budget)
+    dim2, basis = graded_piece(I, 2)
     if dim2 == 0:
         raise ValueError("ideal contains no quadrics")
     return RationalMap(I.ring, Ring([f"y{i}" for i in range(dim2)]), tuple(basis))
@@ -128,11 +125,8 @@ def image_ideal(F: RationalMap, budget: StepBudget | int | None = None) -> Ideal
     The graph ideal is prime (it cuts out a graph over the source), so
     eliminating the source variables gives exactly the image ideal.
     """
-    b = _budget(budget)
-    G, big = graph_ideal(F)
-    elim = eliminate(G, F.source_ring.nvars, b)
-    # the eliminated ring carries the target variable names already
-    return Ideal(F.target_ring, [Poly(F.target_ring, dict(g.terms)) for g in elim.generators])
+    G, _ = graph_ideal(F)
+    return eliminate(G, F.source_ring.nvars, budget)
 
 
 def _monomial_rows(F: RationalMap, monos: Sequence) -> dict:
@@ -395,7 +389,6 @@ def secant_ideal(
 ) -> Ideal:
     """Ideal of the secant variety of V(I): eliminate two point copies
     from I(x) + I(y) + (z - x - y)."""
-    b = _budget(budget)
     ring = I.ring
     n = ring.nvars
     names = (
@@ -410,5 +403,4 @@ def secant_ideal(
     gens += [g.substitute(wcopy) for g in I.generators]
     for i, v in enumerate(ring.variables):
         gens.append(big.var(v) - ucopy[i] - wcopy[i])
-    elim = eliminate(Ideal(big, gens), 2 * n, b)
-    return Ideal(ring, [Poly(ring, dict(g.terms)) for g in elim.generators])
+    return eliminate(Ideal(big, gens), 2 * n, budget)

@@ -225,9 +225,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(mono_deg(e) == 0 for e in self.terms)
 
-    def coefficient(self, exponent: Exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
-
     def lead_monomial(self, order: MonomialOrder = DEGREVLEX) -> Exponent:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")

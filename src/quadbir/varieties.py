@@ -3,7 +3,7 @@
 Each constructor returns the homogeneous ideal of the named variety in its
 standard coordinates: rational normal curves and scrolls as minors of
 catalecticant blocks, Veronese embeddings as minors of the symmetric
-matrix, Segre products as minors of the generic matrix, the line
+matrix, Segre products by their lattice binomials, the line
 Grassmannian of P^4 by its five quadratic relations, and a fixed smooth
 elliptic normal quintic given by the principal Pfaffians of a skew matrix
 of linear forms.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .groebner import Ideal
+from .groebner import Ideal, _fresh_name
 from .maps import nonzero_minors
 from .polyring import Poly, Ring
 
@@ -22,10 +22,7 @@ def rational_normal_curve(e: int) -> Ideal:
     """Degree-e rational normal curve in P^e (2x2 minors of the moving row)."""
     if e < 2:
         raise ValueError("need degree at least 2")
-    ring = Ring([f"x{i}" for i in range(e + 1)])
-    x = ring.gens()
-    matrix = [[x[i] for i in range(e)], [x[i + 1] for i in range(e)]]
-    return Ideal(ring, nonzero_minors(matrix, 2, ring))
+    return scroll((e,))
 
 
 def veronese(n: int, d: int = 2) -> Ideal:
@@ -45,15 +42,6 @@ def veronese(n: int, d: int = 2) -> Ideal:
             k += 1
     matrix = [[x[index[(i, j)]] for j in range(n + 1)] for i in range(n + 1)]
     return Ideal(ring, _dedupe(list(nonzero_minors(matrix, 2, ring))))
-
-
-def segre(a: int, b: int) -> Ideal:
-    """Segre product P^a x P^b in P^(ab+a+b) (2x2 minors of the generic
-    (a+1) x (b+1) matrix)."""
-    ring = Ring([f"x{i}" for i in range((a + 1) * (b + 1))])
-    x = ring.gens()
-    matrix = [[x[i * (b + 1) + j] for j in range(b + 1)] for i in range(a + 1)]
-    return Ideal(ring, nonzero_minors(matrix, 2, ring))
 
 
 def scroll(degrees: tuple[int, ...] | list[int]) -> Ideal:
@@ -176,7 +164,7 @@ def in_hyperplane(I: Ideal) -> Ideal:
     """View V(I) inside the hyperplane v = 0 of a projective space with one
     more coordinate v."""
     ring = I.ring
-    v = ring.variables[0].rstrip("0123456789") + str(ring.nvars)
+    v = _fresh_name(ring, ring.variables[0].rstrip("0123456789") + str(ring.nvars))
     big = Ring(list(ring.variables) + [v])
     lifted = [
         Poly(big, {e + (0,): c for e, c in g.terms.items()})

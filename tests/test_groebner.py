@@ -117,6 +117,13 @@ def test_membership_examples():
     assert not membership(x + 1, Ideal(ring, [x * x]))
 
 
+def test_membership_across_rings_raises():
+    A = Ring(["x", "y"])
+    B = Ring(["x", "y", "z"])
+    with pytest.raises(ValueError, match="different rings"):
+        membership(A.var("x"), Ideal(B, [B.var("z")]))
+
+
 def test_eliminate_linear():
     ring = Ring(["x", "y"])
     x, y = ring.gens()
@@ -209,6 +216,13 @@ def test_ideal_equality():
     x, y = ring.gens()
     assert ideal_equal(Ideal(ring, [x, y]), Ideal(ring, [y, x + y]))
     assert not ideal_equal(Ideal(ring, [x * x]), Ideal(ring, [x]))
+
+
+def test_ideal_equal_across_rings_raises():
+    A = Ring(["x", "y"])
+    B = Ring(["u", "v"])
+    with pytest.raises(ValueError, match="different rings"):
+        ideal_equal(Ideal(A, [A.var("x")]), Ideal(B, [B.var("u")]))
 
 
 def test_budget_exceeded_is_distinct():

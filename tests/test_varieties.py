@@ -9,7 +9,6 @@ from quadbir.varieties import (
     in_hyperplane,
     rational_normal_curve,
     scroll,
-    segre,
     segre_product,
     veronese,
 )
@@ -30,7 +29,7 @@ def test_veronese_surface():
 
 
 def test_segre_threefold():
-    I = segre(1, 2)
+    I = segre_product((1, 2))
     assert len(I.generators) == 3
     hd = hilbert_data(I)
     assert (hd.dim_proj, hd.degree) == (3, 3)
@@ -79,3 +78,11 @@ def test_hyperplane_helpers():
     hd = hilbert_data(sliced)
     assert (hd.dim_proj, hd.degree, hd.sectional_genus) == (2, 6, 1)
 
+
+def test_in_hyperplane_takes_a_free_name():
+    # p15 is already a Pluecker coordinate of G(1, 5)
+    I = in_hyperplane(grassmannian_plucker(1, 5))
+    assert I.ring.nvars == 16
+    assert I.ring.variables[-1] == "p151"
+    assert I.generators[-1] == I.ring.var("p151")
+    assert in_hyperplane(rational_normal_curve(3)).ring.variables[-1] == "x4"
