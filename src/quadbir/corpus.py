@@ -79,9 +79,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED_HEAVY = "SKIPPED_HEAVY"
 
-# checks marked heavy run only when the step budget is at least this large
-HEAVY_BUDGET_THRESHOLD = 30_000_000
-
 _DATA = os.path.join(os.path.dirname(__file__), "data", "ideals")
 
 _UNDECIDED = (BudgetExceeded, HeavyComputation)
@@ -175,10 +172,6 @@ class _Ctx:
         self.solved_inverse: RationalMap | None = None
         self._files: dict[str, Ideal] = {}
 
-    @property
-    def heavy_allowed(self) -> bool:
-        return self.budget.limit >= HEAVY_BUDGET_THRESHOLD
-
     def load(self, name: str) -> Ideal:
         """A shipped ideal file, read once per run, so that a Groebner basis
         computed on it by one step is reused by the later ones."""
@@ -238,12 +231,16 @@ def _true(name: str, value: bool, provenance: str = "") -> CheckResult:
     return _eq(name, True, value, provenance)
 
 
-def _heavy(name: str, provenance: str, check: Callable[[_Ctx], CheckResult]) -> Step:
-    """A step attempted only under an enlarged budget; running out of budget
-    or over a size cap reports it as SKIPPED_HEAVY."""
+def _heavy(
+    name: str, provenance: str, check: Callable[[_Ctx], CheckResult], cost: int
+) -> Step:
+    """A step with a declared cost in budget steps, attempted only when the
+    budget left covers it; a step not attempted, or one that runs out of
+    budget or over a size cap, reports SKIPPED_HEAVY.  The cost is the
+    check's exact step count, unless that count understates its work."""
 
     def step(ctx: _Ctx) -> None:
-        if not ctx.heavy_allowed:
+        if ctx.budget.limit - ctx.budget.used < cost:
             result = CheckResult(name, SKIPPED_HEAVY, provenance=provenance,
                                  expected="attempted only under an enlarged step budget")
         else:
@@ -430,15 +427,18 @@ def rows(*keys: tuple) -> Step:
     return step
 
 
-def singular_dim(codim: int, cap: int, expected: int, provenance: str) -> Step:
+def singular_dim(
+    codim: int, cap: int, expected: int, provenance: str, cost: int = 0
+) -> Step:
     """Dimension of the singular locus of the recorded image (heavy), read
-    from the Jacobian-minor ideal without saturating it."""
+    from the Jacobian-minor ideal without saturating it.  `cost` is the
+    check's declared step cost; with none declared it is always attempted."""
 
     def check(ctx: _Ctx) -> CheckResult:
         h = hilbert_data(minor_ideal(ctx.image, codim, cap), budget=ctx.budget)
         return _eq("image_singular_dim", expected, h.dim_proj, provenance)
 
-    return _heavy("image_singular_dim", provenance, check)
+    return _heavy("image_singular_dim", provenance, check, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +571,8 @@ CORPUS: dict[str, ExampleSpec] = {
             FULL,
             (base(1, 5, 1), smooth(1), gap(0, "square Cremona: five quadrics"),
              rows((1, 4, 0, 5, 1, 3, 1)),
-             _heavy("secant_quintic_hypersurface", "two-copy elimination", _secant_is_quintic)),
+             _heavy("secant_quintic_hypersurface", "two-copy elimination", _secant_is_quintic,
+                    247_211)),
             base=elliptic_quintic_pfaffian,
         ),
         # the quartic curve case runs symbolically, its surface and threefold
@@ -697,7 +698,8 @@ CORPUS: dict[str, ExampleSpec] = {
             FULL,
             (_saturation_fixed_point, base(3, 8, 2, 1), gap(4), smooth(3, "per-chart Jacobians"),
              recorded("six recorded image generators", "recorded inverse", (2, 2)),
-             image(8, 10), singular_dim(4, 12000, 3, "codimension-4 minor scheme in P^12"),
+             image(8, 10),
+             singular_dim(4, 12000, 3, "codimension-4 minor scheme in P^12", 63_584),
              rows((3, 8, 4, 8, 2, 2, 10))),
             base="line_times_quadric_base.ideal",
             image="line_times_quadric_image.ideal",
@@ -710,7 +712,11 @@ CORPUS: dict[str, ExampleSpec] = {
             (base(3, 7, 1, 1), gap(5), smooth(3), _del_pezzo_lift_certificate,
              recorded("recorded image generators (six quadrics and one cubic)",
                       "recorded inverse representative"),
-             singular_dim(5, 50000, 4, "codimension-5 minor scheme in P^13")),
+             # its 1,589,449 steps understate it: the Fraction echelon of
+             # its 39,235 minors, about 150 s, takes no steps; the declared
+             # cost keeps it out of every run with fewer than 30,000,000
+             # steps left until that echelon and its Buchberger run are fast
+             singular_dim(5, 50000, 4, "codimension-5 minor scheme in P^13", 30_000_000)),
             base="del_pezzo_seven_base.ideal",
             image="del_pezzo_seven_image.ideal",
             inverse="del_pezzo_seven_inverse.ideal",

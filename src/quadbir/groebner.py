@@ -231,16 +231,17 @@ def _first_divisor(lm: int, leads: list, guard: int):
     return next(hits, None)
 
 
-def _reduce_int(p: dict, reducers: Sequence[_Entry], P: _Packing, budget: StepBudget) -> dict:
+def _reduce_int(
+    p: dict, reducers: Sequence[_Entry], leads: list, P: _Packing, budget: StepBudget
+) -> dict:
     """Full normal form of p modulo reducers, up to a positive scalar.
-    Consumes p.
+    Consumes p.  `leads` holds the reducers' leading monomials, in order.
 
     The terms still to reduce are a dict with a heap of their monomials; a
     monomial cancelled after it was pushed stays in the heap and is skipped.
     """
     heap = [-e for e in p]
     heapify(heap)
-    leads = [g.lm for g in reducers]
     guard, full, fmax = P.guard, P.full, P.fmax
     r: dict = {}
     scale_events = 0
@@ -346,6 +347,7 @@ def _buchberger_entries(polys: Iterable[dict], P: _Packing, budget: StepBudget) 
     """
     entries: list[_Entry] = []
     G: list[_Entry] = []
+    leads: list[int] = []  # the leading monomials of G, in step with it
     pairs: list[int] = []
     live = 0
     ib = _PAIR_BITS
@@ -357,7 +359,7 @@ def _buchberger_entries(polys: Iterable[dict], P: _Packing, budget: StepBudget) 
     chain_mask = (guard << pb) | 1
 
     def update(h: _Entry) -> None:
-        nonlocal G, live
+        nonlocal G, leads, live
         hlm = h.lm
         # chain criterion on live pairs: h.lm divides lcm(gi, gj), tested on
         # the records themselves, and neither lcm with h equals lcm(gi, gj)
@@ -373,19 +375,22 @@ def _buchberger_entries(polys: Iterable[dict], P: _Packing, budget: StepBudget) 
             pairs[k] |= 1
         live -= len(dead)
         j = h.idx
-        for pos, l in _gm_partners(hlm, [g.lm for g in G], P):
+        for pos, l in _gm_partners(hlm, leads, P):
             l = P.complete(l)
             i = G[pos].idx
             heappush(pairs, ((((l & full) << P.width | l) << ib | i) << ib | j) << 1)
             live += 1
-        G = [g for g in G if (g.lm - hlm) & guard]
+        keep = [(g - hlm) & guard for g in leads]
+        G = list(compress(G, keep))
+        leads = list(compress(leads, keep))
         G.append(h)
+        leads.append(hlm)
 
     for terms in polys:
         if not terms:
             continue
         budget.tick()
-        red = _reduce_int(terms, G, P, budget)
+        red = _reduce_int(terms, G, leads, P, budget)
         if red:
             h = _Entry(red, len(entries), P)
             entries.append(h)
@@ -399,7 +404,7 @@ def _buchberger_entries(polys: Iterable[dict], P: _Packing, budget: StepBudget) 
         live -= 1
         f, g = entries[(x >> (ib + 1)) & low], entries[(x >> 1) & low]
         s = _spoly_int(f, g, (x >> pb) & mono, P)
-        red = _reduce_int(s, G, P, budget)
+        red = _reduce_int(s, G, leads, P, budget)
         if red:
             h = _Entry(red, len(entries), P)
             entries.append(h)
@@ -417,10 +422,11 @@ def _reduced_basis(G: list[_Entry], P: _Packing, budget: StepBudget) -> list[dic
     for g in sorted(G, key=attrgetter("lm")):
         if all((g.lm - h.lm) & guard for h in minimal):
             minimal.append(g)
+    leads = [g.lm for g in minimal]
     out = []
-    for g in minimal:
-        others = [h for h in minimal if h is not g]
-        red = _reduce_int({g.lm: g.lc, **g.tail}, others, P, budget)
+    for k, g in enumerate(minimal):
+        others, lothers = minimal[:k] + minimal[k + 1 :], leads[:k] + leads[k + 1 :]
+        red = _reduce_int({g.lm: g.lc, **g.tail}, others, lothers, P, budget)
         lm = max(red)
         if red[lm] < 0:
             red = {e: -v for e, v in red.items()}
@@ -584,7 +590,8 @@ def _contained_in(polys: Sequence[Poly], I: Ideal, budget: StepBudget) -> bool:
 
     def run(P: _Packing) -> bool:
         entries = [_Entry(_to_int_terms(g, P), i, P) for i, g in enumerate(gb)]
-        return all(not _reduce_int(_to_int_terms(f, P), entries, P, budget) for f in polys)
+        leads = [g.lm for g in entries]
+        return all(not _reduce_int(_to_int_terms(f, P), entries, leads, P, budget) for f in polys)
 
     degree = max(g.degree() for g in (*polys, *gb))
     return _widening(DEGREVLEX, I.ring.nvars, degree, budget, run)

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import and_, lshift, sub
 from typing import Sequence
 
 from .groebner import Ideal, StepBudget, _budget
 from .linalg import rref
-from .polyring import DEGREVLEX, MonomialOrder, Poly, mono_deg, mono_divides
+from .polyring import DEGREVLEX, MonomialOrder, Poly, mono_deg
 
 Exponent = tuple
 
@@ -66,11 +68,26 @@ def _ptrim(a: Sequence[int]) -> tuple[int, ...]:
 
 
 def _minimalize(gens: Sequence[Exponent]) -> tuple[Exponent, ...]:
+    """The minimal generators of the monomial ideal, sorted.
+
+    Each monomial becomes one int whose fields hold its exponents, each
+    field with a clear guard bit on top, so h divides g iff g - h borrows
+    from no field, that is iff (g - h) & guard == 0.  A proper divisor has
+    a smaller degree, so scanning by degree tests each monomial only
+    against the ones already kept.
+    """
+    if not gens:
+        return ()
+    w = max(map(max, gens)).bit_length() + 1
+    shifts = tuple(range(0, w * len(gens[0]), w))
+    guard = sum(1 << (s + w - 1) for s in shifts)
     out: list[Exponent] = []
+    kept: list[int] = []
     for g in sorted(gens, key=mono_deg):
-        if any(mono_divides(h, g) for h in out):
-            continue
-        out.append(g)
+        p = sum(map(lshift, g, shifts))
+        if all(map(and_, map(sub, repeat(p), kept), repeat(guard))):
+            out.append(g)
+            kept.append(p)
     return tuple(sorted(out))
 
 
@@ -138,31 +155,27 @@ def series_coefficients(
 def standard_monomial_count(
     initial_gens: Sequence[Exponent], nvars: int, degree: int
 ) -> int:
-    """Brute-force count of degree-d monomials outside the monomial ideal."""
+    """Brute-force count of degree-d monomials outside the monomial ideal.
 
-    gens = list(initial_gens)
-    exps: list[int] = []
+    Enumerates the monomials one exponent at a time.  Each level keeps only
+    the generators whose exponents so far fit under the prefix, and a
+    prefix that one of them already divides (its remaining exponents are
+    all zero) heads a subtree of divisible monomials, which counts 0.
+    """
+    # the position after each generator's last nonzero exponent
+    ends = {g: max((i + 1 for i, x in enumerate(g) if x), default=0) for g in initial_gens}
 
-    def rec(pos: int, remaining: int) -> int:
+    def rec(pos: int, remaining: int, gens: list[Exponent]) -> int:
+        if any(ends[g] <= pos for g in gens):
+            return 0
         if pos == nvars - 1:
-            exps.append(remaining)
-            n = 0 if _divisible(exps, gens) else 1
-            exps.pop()
-            return n
-        total = 0
-        for e in range(remaining + 1):
-            exps.append(e)
-            total += rec(pos + 1, remaining - e)
-            exps.pop()
-        return total
+            return 0 if any(g[pos] <= remaining for g in gens) else 1
+        return sum(
+            rec(pos + 1, remaining - e, [g for g in gens if g[pos] <= e])
+            for e in range(remaining + 1)
+        )
 
-    def _divisible(e: list[int], gens: list[Exponent]) -> bool:
-        for g in gens:
-            if all(g[i] <= e[i] for i in range(nvars)):
-                return True
-        return False
-
-    return rec(0, degree)
+    return rec(0, degree, list(ends))
 
 
 # ---------------------------------------------------------------------------

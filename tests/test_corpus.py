@@ -86,9 +86,14 @@ def test_unknown_example_rejected():
     ],
 )
 def test_examples_pass(name):
-    report = verify_example(name)
+    budget = StepBudget()
+    report = verify_example(name, budget)
     assert report.status == PASS, report.to_text()
     assert report.checks
+    assert all(c.status != SKIPPED_HEAVY for c in report.checks), report.to_text()
+    if name == "elliptic_quintic_cremona":
+        # the secant check spends exactly its declared cost
+        assert budget.used == 1_079 + 247_211
 
 
 def test_no_silent_success():
@@ -111,8 +116,10 @@ def test_budget_downgrades_but_never_passes():
 def test_budget_exhaustion_keeps_finished_checks():
     # a budget that runs out partway through: the checks that finished
     # before it ran out survive, followed by one pipeline entry; the cut is
-    # half of what the full run uses, so it stays mid-pipeline
-    budget = StepBudget()
+    # half of what the full run uses, so it stays mid-pipeline; the full
+    # run's 60,000 steps do not cover the singular-locus check's cost, so
+    # the cut falls before that check
+    budget = StepBudget(60_000)
     full = verify_example("line_times_quadric_section", budget)
     limit = budget.used // 2
     starved = verify_example("line_times_quadric_section", budget=limit)

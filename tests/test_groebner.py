@@ -334,7 +334,8 @@ def test_integer_division_matches_fraction_division_up_to_scalar():
         expected = reduce(f, divisors).terms
         P = _Packing(DEGREVLEX, 4, 4)
         entries = [_Entry(_to_int_terms(g, P), i, P) for i, g in enumerate(divisors)]
-        got = _reduce_int(_to_int_terms(f, P), entries, P, StepBudget())
+        leads = [g.lm for g in entries]
+        got = _reduce_int(_to_int_terms(f, P), entries, leads, P, StepBudget())
         got = {P.unpack(e): c for e, c in got.items()}
         assert set(got) == set(expected), seed
         if got:

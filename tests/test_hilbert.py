@@ -7,6 +7,7 @@ import pytest
 
 from quadbir.groebner import Ideal, saturate_irrelevant
 from quadbir.hilbert import (
+    _minimalize,
     graded_piece,
     hilbert_data,
     hilbert_series_numerator,
@@ -16,7 +17,7 @@ from quadbir.hilbert import (
 from quadbir.ideal_io import read_ideal
 from quadbir.invariants import hp_relations
 from quadbir.linalg import rref
-from quadbir.polyring import DEGREVLEX, LEX, Poly, Ring
+from quadbir.polyring import DEGREVLEX, LEX, Poly, Ring, mono_divides
 from quadbir.varieties import elliptic_quintic_pfaffian, rational_normal_curve, veronese
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "quadbir", "data", "ideals")
@@ -191,6 +192,35 @@ def test_hilbert_function_oracle(twisted_cubic):
         assert value == standard_monomial_count(monos, 4, m)
         if m >= hd.regularity_witness:
             assert hd.hp_value(m) == value
+
+
+def _random_monomials(rng):
+    n = rng.randint(1, 5)
+    top = rng.choice((1, 3, 9))
+    return n, [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(1, 30))]
+
+
+def test_minimalize_matches_naive_definition():
+    # the minimal generators: the distinct monomials no other one divides
+    for seed in range(300):
+        n, monos = _random_monomials(random.Random(seed))
+        naive = sorted(
+            {m for m in monos if not any(h != m and mono_divides(h, m) for h in monos)}
+        )
+        assert _minimalize(monos) == tuple(naive), seed
+
+
+def test_standard_monomial_count_matches_enumeration():
+    for seed in range(100):
+        rng = random.Random(seed)
+        n, monos = _random_monomials(rng)
+        d = rng.randint(0, 6)
+        naive = sum(
+            1
+            for e in itertools.product(range(d + 1), repeat=n)
+            if sum(e) == d and not any(mono_divides(g, e) for g in monos)
+        )
+        assert standard_monomial_count(monos, n, d) == naive, seed
 
 
 def test_generic_section_first_difference():

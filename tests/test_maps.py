@@ -265,7 +265,7 @@ def test_secant_degree_law_for_linear_inverse():
 
 @pytest.mark.skipif(
     os.environ.get("QUADBIR_RUN_HEAVY") != "1",
-    reason="about 5 s, 2 minutes under the paranoid checks; set QUADBIR_RUN_HEAVY=1",
+    reason="about 7 s, 23 s under the paranoid checks; set QUADBIR_RUN_HEAVY=1",
 )
 def test_secant_of_elliptic_quintic_is_a_quintic_hypersurface():
     from quadbir.varieties import elliptic_quintic_pfaffian
@@ -277,7 +277,7 @@ def test_secant_of_elliptic_quintic_is_a_quintic_hypersurface():
 
 @pytest.mark.skipif(
     os.environ.get("QUADBIR_RUN_HEAVY") != "1",
-    reason="about 6 s, 3 minutes under the paranoid checks; set QUADBIR_RUN_HEAVY=1",
+    reason="about 6 s, 12 s under the paranoid checks; set QUADBIR_RUN_HEAVY=1",
 )
 def test_line_times_quadric_image_singular_dim_at_400m():
     from quadbir.corpus import PASS, verify_example
