@@ -427,12 +427,10 @@ def rows(*keys: tuple) -> Step:
     return step
 
 
-def singular_dim(
-    codim: int, cap: int, expected: int, provenance: str, cost: int = 0
-) -> Step:
+def singular_dim(codim: int, cap: int, expected: int, provenance: str, cost: int) -> Step:
     """Dimension of the singular locus of the recorded image (heavy), read
     from the Jacobian-minor ideal without saturating it.  `cost` is the
-    check's declared step cost; with none declared it is always attempted."""
+    check's declared step cost."""
 
     def check(ctx: _Ctx) -> CheckResult:
         h = hilbert_data(minor_ideal(ctx.image, codim, cap), budget=ctx.budget)
@@ -712,8 +710,8 @@ CORPUS: dict[str, ExampleSpec] = {
             (base(3, 7, 1, 1), gap(5), smooth(3), _del_pezzo_lift_certificate,
              recorded("recorded image generators (six quadrics and one cubic)",
                       "recorded inverse representative"),
-             # its 1,589,449 steps understate it: the Fraction echelon of
-             # its 39,235 minors, about 150 s, takes no steps; the declared
+             # its 1,589,449 steps understate it: the integer echelon of
+             # its 39,235 minors, 80 to 90 s, takes no steps; the declared
              # cost keeps it out of every run with fewer than 30,000,000
              # steps left until that echelon and its Buchberger run are fast
              singular_dim(5, 50000, 4, "codimension-5 minor scheme in P^13", 30_000_000)),

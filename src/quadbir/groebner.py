@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, count, repeat
-from math import gcd
-from operator import and_, attrgetter, itemgetter, lshift, not_, rshift, sub
+from operator import and_, attrgetter, lshift, not_, rshift, sub
 from typing import Iterable, Sequence
 
+from .linalg import cofactors, content, integral, primitive
 from .polyring import (
     DEGREVLEX,
     Exponent,
@@ -182,29 +182,8 @@ def _widening(order: MonomialOrder, nvars: int, degree: int, budget: StepBudget,
 # fraction-free integer polynomials: dict {packed monomial: int}
 
 def _to_int_terms(p: Poly, P: _Packing) -> dict:
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
     pack = P.pack
-    out = {pack(e): int(c * den) for e, c in p.terms.items()}
-    return _primitive_int(out)
-
-
-def _primitive_int(terms: dict) -> dict:
-    if not terms:
-        return terms
-    g = 0
-    for v in terms.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            return terms
-    if g > 1:
-        return {e: v // g for e, v in terms.items()}
-    return terms
-
-
-def _from_int_terms(ring: Ring, terms: dict) -> Poly:
-    return Poly(ring, {e: Fraction(v) for e, v in terms.items()})
+    return {pack(e): v for e, v in integral(p.terms).items()}
 
 
 class _Entry:
@@ -256,9 +235,7 @@ def _reduce_int(
             continue
         hit = reducers[k]
         budget.tick()
-        m = gcd(c, hit.lc)
-        a = hit.lc // m
-        b = c // m
+        a, b = cofactors(c, hit.lc)
         if a != 1:
             for e in p:
                 p[e] *= a
@@ -282,19 +259,17 @@ def _reduce_int(
                     del p[e]
         if scale_events >= 16:
             # divide the unreduced part and the remainder by one common content
-            g = gcd(*p.values(), *r.values())
+            g = content(p, r)
             if g > 1:
                 p = {e: v // g for e, v in p.items()}
                 r = {e: v // g for e, v in r.items()}
             scale_events = 0
-    return _primitive_int(r)
+    return primitive(r)
 
 
 def _spoly_int(f: _Entry, g: _Entry, lcm: int, P: _Packing) -> dict:
     """S-polynomial of f and g, whose leading monomials have lcm `lcm`."""
-    m = gcd(f.lc, g.lc)
-    cf = g.lc // m
-    cg = f.lc // m
+    cf, cg = cofactors(f.lc, g.lc)
     sf = lcm - f.lm
     sg = lcm - g.lm
     if (sf & P.full) + f.maxdeg > P.fmax or (sg & P.full) + g.maxdeg > P.fmax:
@@ -415,25 +390,23 @@ def _buchberger_entries(polys: Iterable[dict], P: _Packing, budget: StepBudget) 
 
 
 def _reduced_basis(G: list[_Entry], P: _Packing, budget: StepBudget) -> list[dict]:
-    """Minimalize and tail-reduce; unique reduced basis up to scaling, as
-    dicts {exponent tuple: int} sorted by leading monomial."""
-    guard = P.guard
-    minimal: list[_Entry] = []
-    for g in sorted(G, key=attrgetter("lm")):
-        if all((g.lm - h.lm) & guard for h in minimal):
-            minimal.append(g)
+    """Tail-reduce; unique reduced basis up to scaling, as dicts
+    {exponent tuple: int} sorted by leading monomial.
+
+    G is already minimal: each new element is a normal form modulo G, so
+    no lead in G divides its lead, and `update` drops every lead that the
+    new lead divides.  So each lead survives its tail reduction with a
+    positive coefficient.
+    """
+    minimal = sorted(G, key=attrgetter("lm"))
     leads = [g.lm for g in minimal]
+    unpack = P.unpack
     out = []
     for k, g in enumerate(minimal):
         others, lothers = minimal[:k] + minimal[k + 1 :], leads[:k] + leads[k + 1 :]
         red = _reduce_int({g.lm: g.lc, **g.tail}, others, lothers, P, budget)
-        lm = max(red)
-        if red[lm] < 0:
-            red = {e: -v for e, v in red.items()}
-        out.append((lm, red))
-    out.sort(key=itemgetter(0))
-    unpack = P.unpack
-    return [{unpack(e): v for e, v in red.items()} for _, red in out]
+        out.append({unpack(e): v for e, v in red.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +452,11 @@ class Ideal:
         return f"Ideal({gens}{more})"
 
 
+def _negated(key):
+    """The key of the opposite order: every int of a nested key negated."""
+    return tuple(map(_negated, key)) if isinstance(key, tuple) else -key
+
+
 def reduce(
     f: Poly,
     basis: Sequence[Poly],
@@ -492,43 +470,43 @@ def reduce(
     also the quotient list q with f = sum(q[i]*basis[i]) + r.
     """
     ring = f.ring
-    basis = [g for g in basis]
-    for g in basis:
-        if g.ring != ring:
-            raise ValueError("division basis in wrong ring")
+    if any(g.ring != ring for g in basis):
+        raise ValueError("division basis in wrong ring")
     keyf = order.key()
-    leads = [(g.lead_monomial(order), g.lead_coefficient(order)) for g in basis if g]
-    active = [g for g in basis if g]
+    # (position in basis, divisor, its leading monomial and coefficient)
+    active = [(i, g, g.lead_monomial(order), g.lead_coefficient(order))
+              for i, g in enumerate(basis) if g]
     quotients = [ring.zero() for _ in basis] if with_quotients else None
-    index_map = [i for i, g in enumerate(basis) if g]
+    neg = lambda e: (_negated(keyf(e)), e)
     p = dict(f.terms)
+    heap = list(map(neg, p))  # leads pop first; cancelled terms are skipped
+    heapify(heap)
     r: dict = {}
-    while p:
-        lm = max(p, key=keyf)
-        c = p.pop(lm)
-        hit = None
-        for pos, (glm, glc) in enumerate(leads):
-            if mono_divides(glm, lm):
-                hit = pos
-                break
+    while heap:
+        lm = heappop(heap)[1]
+        c = p.pop(lm, None)
+        if c is None:
+            continue
+        hit = next((d for d in active if mono_divides(d[2], lm)), None)
         if hit is None:
             r[lm] = c
             continue
-        g = active[hit]
-        glm, glc = leads[hit]
+        i, g, glm, glc = hit
         factor = c / glc
         shift = tuple(x - y for x, y in zip(lm, glm))
         for ge, gv in g.terms.items():
             if ge == glm:
                 continue
             e = tuple(x + y for x, y in zip(shift, ge))
-            v = p.get(e, Fraction(0)) - factor * gv
-            if v:
+            v = p.get(e)
+            if v is None:
+                p[e] = -factor * gv
+                heappush(heap, neg(e))
+            elif v := v - factor * gv:
                 p[e] = v
             else:
-                p.pop(e, None)
+                del p[e]
         if quotients is not None:
-            i = index_map[hit]
             quotients[i] = quotients[i] + Poly(ring, {shift: factor})
     rem = Poly(ring, r)
     if with_quotients:
@@ -566,7 +544,7 @@ def buchberger(
         return _reduced_basis(G, P, b)
 
     reduced = _widening(order, ring.nvars, max(g.degree() for g in gens), b, run)
-    return tuple(_from_int_terms(ring, t) for t in reduced)
+    return tuple(Poly(ring, {e: Fraction(v) for e, v in t.items()}) for t in reduced)
 
 
 def membership(

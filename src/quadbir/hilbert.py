@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .groebner import Ideal, StepBudget, _budget
 from .linalg import rref
-from .polyring import DEGREVLEX, MonomialOrder, Poly, mono_deg
+from .polyring import DEGREVLEX, MonomialOrder, Poly, Ring, format_poly, mono_deg
 
 Exponent = tuple
 
@@ -227,23 +227,7 @@ class HilbertData:
         return series_coefficients(self.numerator, self.nvars, upto)
 
     def hp_str(self) -> str:
-        parts = []
-        for k in range(len(self.hp) - 1, -1, -1):
-            c = self.hp[k]
-            if c == 0:
-                continue
-            term = "t" if k == 1 else (f"t^{k}" if k else "")
-            mag = abs(c)
-            body = (
-                f"{mag}*{term}"
-                if term and mag != 1
-                else (term if term else str(mag))
-            )
-            parts.append(("- " if c < 0 else "+ ") + body)
-        if not parts:
-            return "0"
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return format_poly(Poly(Ring(("t",)), {(k,): c for k, c in enumerate(self.hp) if c}))
 
 
 def hilbert_data(

@@ -1,24 +1,81 @@
 """Small exact linear algebra over the rationals on sparse rows.
 
 A row (or vector) is a dict {column: value}; absent columns are zero.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row's
+denominators are cleared, rows are combined by cross-multiplication, and
+every combination is divided by its content.  Rows become `Fraction` rows,
+scaled to a leading 1, only when they are returned.  The content and
+denominator helpers here also serve the Groebner kernel and `Poly`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable
 
 Row = dict[int, Fraction]
 
 
-def _subtract(row: Row, f: Fraction, other: Row) -> None:
-    """row -= f * other, in place, dropping the entries that cancel."""
-    for k, v in other.items():
-        w = row.get(k, 0) - f * v
+def content(*rows: dict) -> int:
+    """The gcd of all entries of the integer rows; 0 if they are all empty."""
+    return gcd(*chain.from_iterable(map(dict.values, rows)))
+
+
+def primitive(row: dict) -> dict:
+    """An integer row divided by its content, signs kept."""
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def integral(row: dict) -> dict:
+    """The primitive integer row that is a positive multiple of a rational row."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return primitive({k: v.numerator * (den // v.denominator) for k, v in row.items()})
+
+
+def cofactors(c: int, lead: int) -> tuple[int, int]:
+    """The smallest (a, b) with a*c == b*lead, a of the sign of lead: a row
+    with c where a pivot row has lead loses that entry as a*row - b*pivot."""
+    g = gcd(c, lead)
+    return lead // g, c // g
+
+
+def _eliminate(row: dict, c, pivot: dict) -> dict:
+    """The primitive integer row a*row - b*pivot that is zero at column c.
+    Consumes row."""
+    a, b = cofactors(row[c], pivot[c])
+    if a != 1:
+        row = {k: a * v for k, v in row.items()}
+    for k, v in pivot.items():
+        w = row.get(k, 0) - b * v
         if w:
             row[k] = w
         else:
             del row[k]
+    return primitive(row)
+
+
+def _echelon(rows: Iterable[dict]) -> dict:
+    """Forward elimination on primitive integer rows: {pivot column: row}."""
+    kept: dict = {}
+    for row in rows:
+        row = integral({c: v for c, v in row.items() if v})
+        while row:
+            c = min(row)
+            pivot = kept.get(c)
+            if pivot is None:
+                kept[c] = row
+                break
+            row = _eliminate(row, c, pivot)
+    return kept
+
+
+def _monic(row: dict, c) -> Row:
+    """The Fraction row with a 1 at column c."""
+    lead = row[c]
+    return {k: Fraction(v, lead) for k, v in row.items()}
 
 
 def echelon(rows: Iterable[dict]) -> dict:
@@ -29,18 +86,9 @@ def echelon(rows: Iterable[dict]) -> dict:
     Columns may be any totally ordered keys, such as exponent tuples.  The
     kept rows span the same space as the input rows.
     """
-    echelon: dict = {}
-    for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        while row:
-            c = min(row)
-            pivot = echelon.get(c)
-            if pivot is None:
-                inv = 1 / row[c]
-                echelon[c] = {k: v * inv for k, v in row.items()}
-                break
-            _subtract(row, row[c], pivot)
-    return echelon
+    kept = _echelon(rows)
+    # each integer row is released as its Fraction row is made
+    return {c: _monic(kept.pop(c), c) for c in list(kept)}
 
 
 def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
@@ -48,14 +96,15 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
 
     The rows come ordered by pivot, each with its entries in column order.
     """
-    reduced = echelon(rows)
+    reduced = _echelon(rows)
     pivots = sorted(reduced)
     # back substitution, last pivot first, so each row used is already reduced
     for c in reversed(pivots):
         row = reduced[c]
         for k in [k for k in row if k != c and k in reduced]:
-            _subtract(row, row[k], reduced[k])
-    return [dict(sorted(reduced[c].items())) for c in pivots], pivots
+            row = _eliminate(row, k, reduced[k])
+        reduced[c] = row
+    return [_monic(dict(sorted(reduced[c].items())), c) for c in pivots], pivots
 
 
 def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:

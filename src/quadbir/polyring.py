@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 from operator import le
 from typing import Callable, Iterable, Sequence
+
+from .linalg import integral
 
 Exponent = tuple  # tuple[int, ...], one entry per ring variable
 
@@ -234,17 +235,8 @@ class Poly:
         return self.terms[self.lead_monomial(order)]
 
     def primitive(self) -> "Poly":
-        """Integer-primitive scalar multiple with positive leading content."""
-        if not self.terms:
-            return self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * (den // c.denominator)))
-        scale = Fraction(den, num)
-        return Poly(self.ring, {e: c * scale for e, c in self.terms.items()})
+        """The primitive integer polynomial that is a positive multiple of self."""
+        return Poly(self.ring, {e: Fraction(v) for e, v in integral(self.terms).items()})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -489,10 +481,6 @@ def parse_poly(ring: Ring, text: str, line: int | None = None) -> Poly:
     return Poly(ring, terms)
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c) if c.denominator != 1 else str(c.numerator)
-
-
 def format_poly(p: Poly, order: MonomialOrder = DEGREVLEX) -> str:
     if not p.terms:
         return "0"
@@ -508,11 +496,11 @@ def format_poly(p: Poly, order: MonomialOrder = DEGREVLEX) -> str:
         mono = "*".join(factors)
         mag = abs(c)
         if not mono:
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_format_coeff(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         pieces.append(("- " if c < 0 else "+ ") + body)
     text = " ".join(pieces)
     if text.startswith("+ "):

@@ -137,7 +137,7 @@ def test_decided_singular_dim_keeps_its_provenance():
     spec = ExampleSpec("quartic_fourfold", "singular locus probe", FULL, (),
                        image="quartic_curve_image.ideal")
     ctx = _Ctx(spec, StepBudget(400_000_000))
-    singular_dim(2, 4000, 1, "codimension-2 minor scheme in P^6")(ctx)
+    singular_dim(2, 4000, 1, "codimension-2 minor scheme in P^6", 250)(ctx)
     [check] = ctx.checks
     assert (check.name, check.status, check.computed) == ("image_singular_dim", PASS, "1")
     assert check.provenance == "codimension-2 minor scheme in P^6"

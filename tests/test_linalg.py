@@ -3,13 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from quadbir.linalg import echelon, kernel_basis, rref
+from quadbir.linalg import cofactors, content, echelon, integral, kernel_basis, primitive, rref
 
 
-def _random_matrix(seed):
+def _random_matrix(seed, big=False):
     """Sparse rational rows over ncols columns, with zero rows, repeated rows
-    and combinations of earlier rows mixed in (so often rank-deficient)."""
+    and combinations of earlier rows mixed in (so often rank-deficient).
+    With `big`, fresh entries have numerators and denominators up to 10^20,
+    so elimination has large contents to divide out."""
     rng = random.Random(seed)
+    if big:
+        entry = lambda: Fraction(
+            rng.randint(1, 10**20) * rng.choice([-1, 1]), rng.randint(1, 10**20)
+        )
+    else:
+        entry = lambda: Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 4))
     ncols = rng.randint(1, 9)
     rows = []
     for _ in range(rng.randint(0, 9)):
@@ -25,7 +33,7 @@ def _random_matrix(seed):
             rows.append({c: combo[c] for c in sorted(combo) if combo[c]})
         else:
             cols = sorted(rng.sample(range(ncols), rng.randint(1, min(ncols, 4))))
-            rows.append({c: Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 4)) for c in cols})
+            rows.append({c: entry() for c in cols})
     return rows, ncols
 
 
@@ -48,10 +56,10 @@ def _dense_rank(rows, ncols):
 SEEDS = range(200)
 
 
-def test_rref_matches_sympy():
+def _check_rref_against_sympy(big):
     sympy = pytest.importorskip("sympy")
     for s in SEEDS:
-        rows, ncols = _random_matrix(s)
+        rows, ncols = _random_matrix(s, big)
         echelon, pivots = rref(rows)
         if not rows:
             assert (echelon, pivots) == ([], [])
@@ -64,6 +72,29 @@ def test_rref_matches_sympy():
             for r in range(len(ref_pivots))
         ]
         assert echelon == expected, s
+
+
+def test_rref_matches_sympy():
+    _check_rref_against_sympy(big=False)
+
+
+def test_rref_matches_sympy_on_large_entries():
+    _check_rref_against_sympy(big=True)
+
+
+def test_integer_row_helpers():
+    row = {0: Fraction(-4, 3), 2: Fraction(2, 9), 5: Fraction(6)}
+    assert integral(row) == {0: -6, 2: 1, 5: 27}
+    assert integral({1: Fraction(-5, 7)}) == {1: -1}
+    assert integral({}) == primitive({}) == {}
+    assert primitive({0: -12, 3: 18, 4: 30}) == {0: -2, 3: 3, 4: 5}
+    assert primitive({0: 5, 1: -7}) == {0: 5, 1: -7}
+    assert content({0: 12, 1: -18}, {7: 30}) == 6
+    assert content({}, {}) == 0
+    for c, lead in [(6, 4), (-6, 4), (6, -4), (7, 1), (0, 5)]:
+        a, b = cofactors(c, lead)
+        assert a * c == b * lead and (a > 0) == (lead > 0), (c, lead)
+    assert cofactors(6, 4) == (2, 3)
 
 
 def test_rref_shape():

@@ -263,31 +263,6 @@ def test_secant_degree_law_for_linear_inverse():
     assert sec.generators[0].degree() == 2 * d - 1
 
 
-@pytest.mark.skipif(
-    os.environ.get("QUADBIR_RUN_HEAVY") != "1",
-    reason="about 7 s, 23 s under the paranoid checks; set QUADBIR_RUN_HEAVY=1",
-)
-def test_secant_of_elliptic_quintic_is_a_quintic_hypersurface():
-    from quadbir.varieties import elliptic_quintic_pfaffian
-
-    sec = secant_ideal(elliptic_quintic_pfaffian(), 400_000_000)
-    assert len(sec.generators) == 1
-    assert sec.generators[0].degree() == 5  # 2d - 1 with d = 3
-
-
-@pytest.mark.skipif(
-    os.environ.get("QUADBIR_RUN_HEAVY") != "1",
-    reason="about 6 s, 12 s under the paranoid checks; set QUADBIR_RUN_HEAVY=1",
-)
-def test_line_times_quadric_image_singular_dim_at_400m():
-    from quadbir.corpus import PASS, verify_example
-
-    report = verify_example("line_times_quadric_section", 400_000_000)
-    [check] = [c for c in report.checks if c.name == "image_singular_dim"]
-    assert check.status == PASS
-    assert check.computed == "3"
-
-
 def _cofactor_minor(mat, rows, cols, ring):
     """Memo-free cofactor expansion along the first row."""
     if len(rows) == 1:

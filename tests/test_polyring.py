@@ -44,6 +44,17 @@ def test_ring_mismatch_raises(xy):
         x + other.var("a")
 
 
+def test_primitive_clears_denominators_and_content_and_keeps_sign(xy):
+    ring, x, y = xy
+    p = ring.parse("-4/3*x^2 + 2/9*x*y - 6*y")
+    q = p.primitive()
+    assert q == ring.parse("-6*x^2 + x*y - 27*y")
+    assert all(isinstance(c, Fraction) and c.denominator == 1 for c in q.terms.values())
+    assert ring.parse("-10*x + 15").primitive() == ring.parse("-2*x + 3")
+    assert ring.parse("3/7*y").primitive() == y
+    assert ring.zero().primitive().is_zero()
+
+
 def test_substitute_renaming():
     ring = Ring(["x"])
     target = Ring(["y"])
