@@ -30,6 +30,7 @@ from .groebner import (
     BudgetExceeded,
     Ideal,
     StepBudget,
+    _budget,
     _contained_in,
     ideal_equal,
     saturate_irrelevant,
@@ -253,13 +254,6 @@ def _heavy(
     return step
 
 
-def _table_row(r, n, a, lam, g, d, Delta) -> CaseRow:
-    for row in load_table():
-        if row.key() == (r, n, a, lam, g, d, Delta):
-            return row
-    raise KeyError(f"no classification row {(r, n, a, lam, g, d, Delta)}")
-
-
 def _row_checks(row: CaseRow, label: str, skip: str | None = None) -> list[CheckResult]:
     """Re-evaluate every applicable closed-form relation on a row."""
     return [
@@ -421,8 +415,9 @@ def rows(*keys: tuple) -> Step:
     """The closed-form relations of each classification-table row."""
 
     def step(ctx: _Ctx) -> None:
+        table = {row.key(): row for row in load_table()}
         for key in keys:
-            ctx.checks += _row_checks(_table_row(*key), str(key))
+            ctx.checks += _row_checks(table[key], str(key))
 
     return step
 
@@ -766,8 +761,7 @@ def verify_example(
     if name not in CORPUS:
         raise KeyError(f"unknown example {name!r}; known: {sorted(CORPUS)}")
     spec = CORPUS[name]
-    b = budget if isinstance(budget, StepBudget) else StepBudget(budget)
-    ctx = _Ctx(spec, b)
+    ctx = _Ctx(spec, _budget(budget))
     start = time.time()
     try:
         for step in spec.steps:

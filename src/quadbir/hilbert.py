@@ -98,47 +98,50 @@ def hilbert_series_numerator(
     for m in monomials:
         if len(m) != nvars:
             raise ValueError("exponent length mismatch")
-    memo: dict = {}
+    return _numerator(_minimalize(monomials), nvars, {})
 
-    def rec(gens: tuple[Exponent, ...]) -> tuple[int, ...]:
-        if not gens:
-            return (1,)
-        if len(gens) == 1:
-            d = mono_deg(gens[0])
-            return _ptrim((1,) + (0,) * (d - 1) + (-1,))
-        cached = memo.get(gens)
-        if cached is not None:
-            return cached
-        # coprime supports: the generators form a regular sequence
-        support_count = [0] * nvars
+
+def _numerator(gens: tuple[Exponent, ...], nvars: int, memo: dict) -> tuple[int, ...]:
+    """The numerator for the minimal generators gens, by the pivot-variable
+    recursion; memo maps the generator tuples met so far to theirs."""
+    if not gens:
+        return (1,)
+    if len(gens) == 1:
+        d = mono_deg(gens[0])
+        return _ptrim((1,) + (0,) * (d - 1) + (-1,))
+    cached = memo.get(gens)
+    if cached is not None:
+        return cached
+    # coprime supports: the generators form a regular sequence
+    support_count = [0] * nvars
+    for g in gens:
+        for i, e in enumerate(g):
+            if e:
+                support_count[i] += 1
+    if all(c <= 1 for c in support_count):
+        result = (1,)
         for g in gens:
-            for i, e in enumerate(g):
-                if e:
-                    support_count[i] += 1
-        if all(c <= 1 for c in support_count):
-            result = (1,)
-            for g in gens:
-                d = mono_deg(g)
-                result = _pmul(result, (1,) + (0,) * (d - 1) + (-1,))
-            result = _ptrim(result)
-            memo[gens] = result
-            return result
-        pivot = max(range(nvars), key=lambda i: support_count[i])
-        # M + (x_pivot)
-        unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-        plus = _minimalize([unit] + [g for g in gens if g[pivot] == 0])
-        # M : x_pivot
-        colon = _minimalize(
-            [
-                g[:pivot] + (g[pivot] - 1,) + g[pivot + 1 :] if g[pivot] else g
-                for g in gens
-            ]
-        )
-        result = _ptrim(_padd(rec(plus), _pshift(rec(colon), 1)))
+            d = mono_deg(g)
+            result = _pmul(result, (1,) + (0,) * (d - 1) + (-1,))
+        result = _ptrim(result)
         memo[gens] = result
         return result
-
-    return rec(_minimalize(monomials))
+    pivot = max(range(nvars), key=lambda i: support_count[i])
+    # M + (x_pivot)
+    unit = tuple(1 if i == pivot else 0 for i in range(nvars))
+    plus = _minimalize([unit] + [g for g in gens if g[pivot] == 0])
+    # M : x_pivot
+    colon = _minimalize(
+        [
+            g[:pivot] + (g[pivot] - 1,) + g[pivot + 1 :] if g[pivot] else g
+            for g in gens
+        ]
+    )
+    result = _ptrim(
+        _padd(_numerator(plus, nvars, memo), _pshift(_numerator(colon, nvars, memo), 1))
+    )
+    memo[gens] = result
+    return result
 
 
 def series_coefficients(
@@ -315,14 +318,7 @@ def graded_piece(I: Ideal, e: int) -> tuple[int, list[Poly]]:
 
 def _degree_monomials(nvars: int, degree: int) -> list[Exponent]:
     """All degree-d monomials, leading monomial first (descending degrevlex)."""
-    out: list[Exponent] = []
-
-    def rec(prefix: tuple, remaining: int, pos: int) -> None:
-        if pos == nvars - 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, pos + 1)
-
-    rec((), degree, 0)
-    return DEGREVLEX.sorted_monomials(out)
+    heads: list[tuple] = [()]  # the exponents of all variables but the last
+    for _ in range(nvars - 1):
+        heads = [h + (e,) for h in heads for e in range(degree - sum(h) + 1)]
+    return DEGREVLEX.sorted_monomials([h + (degree - sum(h),) for h in heads])

@@ -3,9 +3,10 @@
 A row (or vector) is a dict {column: value}; absent columns are zero.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row's
 denominators are cleared, rows are combined by cross-multiplication, and
-every combination is divided by its content.  Rows become `Fraction` rows,
-scaled to a leading 1, only when they are returned.  The content and
-denominator helpers here also serve the Groebner kernel and `Poly`.
+every combination is divided by its content.  `echelon` returns these
+primitive integer rows; `rref` and `kernel_basis` return `Fraction` rows,
+scaled to a leading 1.  The content and denominator helpers here also
+serve the Groebner kernel and `Poly`.
 """
 
 from __future__ import annotations
@@ -57,8 +58,15 @@ def _eliminate(row: dict, c, pivot: dict) -> dict:
     return primitive(row)
 
 
-def _echelon(rows: Iterable[dict]) -> dict:
-    """Forward elimination on primitive integer rows: {pivot column: row}."""
+def echelon(rows: Iterable[dict]) -> dict:
+    """Forward elimination of a stream of rows: {pivot column: row}.
+
+    Each row is cleared of denominators and reduced by the rows kept so
+    far; unless it reduces to zero, it is kept under its smallest column
+    (its pivot).  Columns may be any totally ordered keys, such as exponent
+    tuples.  The kept rows are primitive integer rows, nonzero at their
+    pivots, and span the same space as the input rows.
+    """
     kept: dict = {}
     for row in rows:
         row = integral({c: v for c, v in row.items() if v})
@@ -78,25 +86,12 @@ def _monic(row: dict, c) -> Row:
     return {k: Fraction(v, lead) for k, v in row.items()}
 
 
-def echelon(rows: Iterable[dict]) -> dict:
-    """Forward elimination of a stream of rows: {pivot column: row}.
-
-    Each row is reduced by the rows kept so far; unless it reduces to zero,
-    it is kept, scaled to a leading 1 at its smallest column (its pivot).
-    Columns may be any totally ordered keys, such as exponent tuples.  The
-    kept rows span the same space as the input rows.
-    """
-    kept = _echelon(rows)
-    # each integer row is released as its Fraction row is made
-    return {c: _monic(kept.pop(c), c) for c in list(kept)}
-
-
 def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices).
 
     The rows come ordered by pivot, each with its entries in column order.
     """
-    reduced = _echelon(rows)
+    reduced = echelon(rows)
     pivots = sorted(reduced)
     # back substitution, last pivot first, so each row used is already reduced
     for c in reversed(pivots):

@@ -161,6 +161,30 @@ def jacobian(polys: Sequence[Poly], ring: Ring) -> list[list[Poly]]:
     return [[g.diff(v) for v in ring.variables] for g in polys]
 
 
+def _minor(mat, rows: tuple, cols: tuple, memo: dict, ring: Ring) -> Poly:
+    """The minor of mat on cols and the last len(cols) of rows, expanded
+    along its first row.  memo holds the minors of fewer columns than rows
+    computed so far on these rows, by column set."""
+    row = mat[rows[-len(cols)]]
+    if len(cols) == 1:
+        return row[cols[0]]
+    if cols in memo:
+        return memo[cols]
+    total = ring.zero()
+    for j, c in enumerate(cols):
+        e = row[c]
+        if not e:
+            continue
+        sub = _minor(mat, rows, cols[:j] + cols[j + 1 :], memo, ring)
+        if not sub:
+            continue
+        t = e * sub
+        total = total + t if j % 2 == 0 else total - t
+    if len(cols) < len(rows):
+        memo[cols] = total
+    return total
+
+
 def nonzero_minors(mat: Sequence[Sequence[Poly]], k: int, ring: Ring):
     """Yield the nonzero k x k minors of a polynomial matrix, row sets in
     lexicographic order and, within each, column sets likewise.
@@ -170,35 +194,11 @@ def nonzero_minors(mat: Sequence[Sequence[Poly]], k: int, ring: Ring):
     memo is dropped when the row set changes, which bounds its size.
     """
     for rows in itertools.combinations(range(len(mat)), k):
-        memo: dict[tuple, Poly] = {}  # cols -> minor on rows[k - len(cols):]
-
-        def minor(i: int, cols: tuple) -> Poly:
-            """The minor on rows[i:] and cols."""
-            if i == k - 1:
-                return mat[rows[i]][cols[0]]
-            if cols in memo:
-                return memo[cols]
-            total = ring.zero()
-            for j, c in enumerate(cols):
-                e = mat[rows[i]][c]
-                if not e:
-                    continue
-                sub = minor(i + 1, cols[:j] + cols[j + 1 :])
-                if not sub:
-                    continue
-                t = e * sub
-                total = total + t if j % 2 == 0 else total - t
-            if i:
-                memo[cols] = total
-            return total
-
+        memo: dict[tuple, Poly] = {}
         for cols in itertools.combinations(range(len(mat[0])), k):
-            d = minor(0, cols)
+            d = _minor(mat, rows, cols, memo, ring)
             if d:
                 yield d
-        # `minor` refers to itself, so without this the memo would live on
-        # until the cycle collector next runs
-        memo.clear()
 
 
 def _minor_span(polys: Sequence[Poly], k: int, ring: Ring) -> list[Poly]:
@@ -207,10 +207,13 @@ def _minor_span(polys: Sequence[Poly], k: int, ring: Ring) -> list[Poly]:
 
     The minors stream into one exact echelon on monomial columns and are
     never held together; a minor in the span of earlier ones is dropped.
-    The echelon rows come ordered by pivot.
+    The echelon's primitive integer rows become the polynomials, ordered
+    by pivot.
     """
     minors = nonzero_minors(jacobian(polys, ring), k, ring)
-    return [Poly(ring, row) for _, row in sorted(echelon(m.terms for m in minors).items())]
+    kept = echelon(m.terms for m in minors)
+    # each integer row is released as its polynomial is made
+    return [Poly(ring, {e: Fraction(v) for e, v in kept.pop(c).items()}) for c in sorted(kept)]
 
 
 def minor_ideal(

@@ -1,5 +1,7 @@
 import itertools
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -334,4 +336,38 @@ def test_minor_ideal_is_the_span_of_the_minors(ideal, k):
     assert J.generators[:n] == ideal.generators
     span = J.generators[n:]
     assert len(span) == _coefficient_rank(raw) == _coefficient_rank(raw + list(span))
+    # the echelon's integer rows, not rescaled to a leading 1
+    assert all(c.denominator == 1 for g in span for c in g.terms.values())
     assert ideal_equal(J, Ideal(ring, ideal.generators + tuple(raw)))
+
+
+_CYCLE_SCRIPT = """
+import gc
+from quadbir.hilbert import graded_piece, hilbert_data
+from quadbir.ideal_io import read_ideal
+from quadbir.maps import minor_ideal
+from quadbir.varieties import elliptic_quintic_pfaffian
+
+image = read_ideal({path!r})
+quintic = elliptic_quintic_pfaffian()
+gc.collect()
+gc.disable()
+gc.set_debug(gc.DEBUG_SAVEALL)
+for I, k in ((image, 2), (quintic, 3)):
+    hilbert_data(minor_ideal(I, k))
+    graded_piece(I, 3)
+gc.collect()
+print(len(gc.garbage))
+"""
+
+
+def test_minors_and_hilbert_data_leave_no_reference_cycles():
+    # a fresh interpreter: the paranoid checks of conftest.py wrap
+    # hilbert_data with a brute-force oracle that is not cycle-free
+    script = _CYCLE_SCRIPT.format(path=os.path.join(DATA, "quartic_curve_image.ideal"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
