@@ -21,6 +21,7 @@ from .groebner import (
     Ideal,
     StepBudget,
     _budget,
+    _fresh_name,
     contains_one,
     dehomogenize,
     eliminate,
@@ -107,11 +108,22 @@ def forward_annihilation(F: RationalMap, g: Poly) -> bool:
     return not g.substitute(F.components)
 
 
+def _fresh_names(ring: Ring, bases: Sequence[str]) -> tuple[str, ...]:
+    """One name per base, distinct from each other and from ring's variables."""
+    names = ring
+    for base in bases:
+        names = Ring(names.variables + (_fresh_name(names, base),))
+    return names.variables[ring.nvars :]
+
+
 def graph_ideal(F: RationalMap) -> tuple[Ideal, Ring]:
-    """Ideal of the graph {(x, F(x))} in the product ring (x first)."""
-    big = Ring(F.source_ring.variables + F.target_ring.variables)
-    nx = F.source_ring.nvars
-    lift_src = [big.var(v) for v in F.source_ring.variables]
+    """Ideal of the graph {(x, F(x))} in the product ring (x first).
+
+    A source variable whose name the target also uses is renamed in the
+    product ring, so a map from a ring to itself has a graph too.
+    """
+    big = Ring(_fresh_names(F.target_ring, F.source_ring.variables) + F.target_ring.variables)
+    lift_src = big.gens()[: F.source_ring.nvars]
     gens = []
     for i, f in enumerate(F.components):
         y = big.var(F.target_ring.variables[i])
@@ -390,20 +402,29 @@ def solve_inverse(
 def secant_ideal(
     I: Ideal, budget: StepBudget | int | None = None
 ) -> Ideal:
-    """Ideal of the secant variety of V(I): eliminate two point copies
-    from I(x) + I(y) + (z - x - y)."""
+    """Ideal of the secant variety of V(I), eliminating n helper variables.
+
+    The secant variety is the closure of the points u + w with u, w in
+    V(I): the elimination of u and w from I(u) + I(w) + (x - u - w).  Here
+    the coordinates change to t = u - w: each generator g contributes
+    g((x+t)/2) + g((x-t)/2) and g((x+t)/2) - g((x-t)/2), its even and odd
+    parts in t, and only the n variables t are eliminated.  The map
+    u -> (x+t)/2, w -> (x-t)/2, x -> x from QQ[u, w, x] onto QQ[t, x] has
+    kernel (x - u - w), which the two-copy ideal contains, and is the
+    identity on QQ[x].  So it carries the two-copy ideal onto this one, and
+    a polynomial in QQ[x] lies in one iff it lies in the other.  The reduced
+    basis of that intersection is unique, so both constructions return the
+    same generators.
+    """
     ring = I.ring
     n = ring.nvars
-    names = (
-        [f"u_{v}" for v in ring.variables]
-        + [f"w_{v}" for v in ring.variables]
-        + list(ring.variables)
-    )
-    big = Ring(names)
-    ucopy = [big.var(f"u_{v}") for v in ring.variables]
-    wcopy = [big.var(f"w_{v}") for v in ring.variables]
-    gens = [g.substitute(ucopy) for g in I.generators]
-    gens += [g.substitute(wcopy) for g in I.generators]
-    for i, v in enumerate(ring.variables):
-        gens.append(big.var(v) - ucopy[i] - wcopy[i])
-    return eliminate(Ideal(big, gens), 2 * n, budget)
+    big = Ring(_fresh_names(ring, [f"t_{v}" for v in ring.variables]) + ring.variables)
+    t, x = big.gens()[:n], big.gens()[n:]
+    half = Fraction(1, 2)
+    plus = [(xi + ti).scale(half) for xi, ti in zip(x, t)]
+    minus = [(xi - ti).scale(half) for xi, ti in zip(x, t)]
+    gens = []
+    for g in I.generators:
+        a, b = g.substitute(plus), g.substitute(minus)
+        gens += [a + b, a - b]
+    return eliminate(Ideal(big, gens), n, budget)

@@ -93,7 +93,7 @@ def test_examples_pass(name):
     assert all(c.status != SKIPPED_HEAVY for c in report.checks), report.to_text()
     if name == "elliptic_quintic_cremona":
         # the secant check spends exactly its declared cost
-        assert budget.used == 1_079 + 247_211
+        assert budget.used == 1_079 + 164_548
 
 
 def test_no_silent_success():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from quadbir.groebner import Ideal, ideal_equal, membership
+from quadbir.groebner import Ideal, StepBudget, eliminate, ideal_equal, membership
 from quadbir.hilbert import graded_piece, hilbert_data
 from quadbir.ideal_io import read_ideal
 from quadbir.maps import (
@@ -15,6 +15,7 @@ from quadbir.maps import (
     common_factor_degree,
     composition_identity,
     forward_annihilation,
+    graph_ideal,
     image_forms,
     image_ideal,
     jacobian,
@@ -213,6 +214,83 @@ def test_secant_of_two_skew_lines_fills_space():
     lines = Ideal(ring, [x[0] * x[2], x[0] * x[3], x[1] * x[2], x[1] * x[3]])
     sec = secant_ideal(lines)
     assert sec.is_zero()
+
+
+def _two_copy_secant(I):
+    """The secant ideal as the elimination of u and w from
+    I(u) + I(w) + (x - u - w), built here independently of secant_ideal."""
+    n = I.ring.nvars
+    big = Ring([f"u{i}" for i in range(n)] + [f"w{i}" for i in range(n)] + list(I.ring.variables))
+    z = big.gens()
+    u, w, x = z[:n], z[n : 2 * n], z[2 * n :]
+    gens = [g.substitute(u) for g in I.generators] + [g.substitute(w) for g in I.generators]
+    gens += [x[i] - u[i] - w[i] for i in range(n)]
+    return eliminate(Ideal(big, gens), 2 * n)
+
+
+def _hankel_det(ring):
+    """The 3x3 Hankel determinant det(x_{i+j}) by the rule of Sarrus."""
+    x = ring.gens()
+    h = [[x[i + j] for j in range(3)] for i in range(3)]
+    total = ring.zero()
+    for k in range(3):
+        total = total + h[0][k] * h[1][(k + 1) % 3] * h[2][(k + 2) % 3]
+        total = total - h[0][k] * h[1][(k + 2) % 3] * h[2][(k + 1) % 3]
+    return total
+
+
+def test_secant_of_rational_normal_quartic_is_the_hankel_determinant():
+    I = rational_normal_curve(4)
+    budget = StepBudget()
+    sec = secant_ideal(I, budget)
+    assert [str(g) for g in sec.generators] == [
+        "x2^3 - 2*x1*x2*x3 + x0*x3^2 + x1^2*x4 - x0*x2*x4"
+    ]
+    assert sec.generators[0] == -_hankel_det(I.ring)
+    # the exact step count: a change in the elimination shows here
+    assert budget.used == 2_176
+
+
+def test_secant_equals_two_copy_elimination():
+    ring = Ring(["x0", "x1", "x2", "x3"])
+    x = ring.gens()
+    lines = Ideal(ring, [x[0] * x[2], x[0] * x[3], x[1] * x[2], x[1] * x[3]])
+    abc = Ring(["a", "b", "c"])
+    inhomogeneous = Ideal(abc, [abc.parse("a^2 - b + 1"), abc.parse("a*c - 2")])
+    cases = [rational_normal_curve(3), rational_normal_curve(4),
+             in_hyperplane(rational_normal_curve(3)), lines, inhomogeneous]
+    for I in cases:
+        sec = secant_ideal(I)
+        assert sec.ring == I.ring
+        assert sec.generators == _two_copy_secant(I).generators
+    assert [str(g) for g in secant_ideal(inhomogeneous).generators] == [
+        "a^2*c - b*c - 4*a + 2*c"
+    ]
+
+
+def test_secant_helper_names_avoid_the_ring_variables():
+    for names in (["x", "u_x"], ["x", "t_x"]):
+        ring = Ring(names)
+        x, y = ring.gens()
+        assert secant_ideal(Ideal(ring, [x * y])).is_zero()
+    # the rational normal quartic in coordinates named like the helpers
+    names = ["t_x0", "x0", "t_t_x0", "t_x01", "x1"]
+    ring = Ring(names)
+    renamed = Ideal(ring, [g.substitute(ring.gens()) for g in rational_normal_curve(4).generators])
+    (g,) = secant_ideal(renamed).generators
+    assert g == -_hankel_det(ring)
+
+
+def test_image_of_a_self_map():
+    # the standard Cremona involution of P^2, source and target one ring
+    R = Ring(["x0", "x1", "x2"])
+    x0, x1, x2 = R.gens()
+    F = RationalMap(R, R, (x1 * x2, x0 * x2, x0 * x1))
+    _, big = graph_ideal(F)
+    assert big.variables[3:] == R.variables
+    img = image_ideal(F)
+    assert img.ring == R
+    assert img.is_zero()
 
 
 def test_composition_identity_of_identity_maps():
