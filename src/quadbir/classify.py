@@ -30,8 +30,6 @@ from .invariants import (
     double_point,
     hilbert_poly_r4,
     hp_relations,
-    normal_segre_from_chern,
-    pushforward_degrees,
     r2_ddelta_identity,
     r2_delta_quotient,
     r4_chern_lattice,
@@ -39,6 +37,7 @@ from .invariants import (
     segre_chern,
     structure_formulas,
     structure_k3,
+    threefold_pushforward,
 )
 
 # search bounds for the enumerations; the ambient gap of the image is
@@ -324,185 +323,83 @@ def enumerate_r2(rules: RuleTable | None = None) -> list[CaseRow]:
 # dimension 3
 
 # the three nondegenerate (lam, g) families in P^8, as (a, lam, g)
-def _r3_families() -> list[tuple[int, int, int]]:
-    fams = [(0, 13, 8), (1, 12, 7)]
-    fams += [(a, 12 - a, 6 - a) for a in range(0, 7)]
-    return fams
+_R3_FAMILIES = {(0, 13, 8), (1, 12, 7)} | {(a, 12 - a, 6 - a) for a in range(0, 7)}
 
 
-# structure assignments for the nondegenerate branch (cited classification
-# of threefolds of small degree), keyed by (a, lam, g); each entry:
-# (label, how, data, existence) where how determines the (d, Delta) source:
-# one of the structure systems of `invariants`, a cited inverse degree, or
-# the pushforward of the recorded Chern degrees
-_R3_STRUCTURES: dict[tuple[int, int, int], list[tuple]] = {
-    (0, 12, 6): [
-        ("scroll over a ruled surface", SCROLL_OVER_SURFACE, {"c2_base": 7}, "?")
-    ],
-    (0, 13, 8): [
-        (
-            "internal projection of a genus-8 prime threefold",
-            "cited_d",
-            {"d": 5},
-            "E",
-        )
-    ],
-    (1, 11, 5): [
-        ("blow-up of a quadric threefold at five points", "cited_d", {"d": 3}, "E"),
-        (
-            "scroll over the blown-up plane (one point)",
-            SCROLL_OVER_SURFACE,
-            {"c2_base": 4},
-            "E**",
-        ),
-    ],
-    (1, 12, 7): [
-        (
-            "linear threefold section of the spinor tenfold",
-            "cited_d",
-            {"d": 4},
-            "E",
-        )
-    ],
-    (2, 10, 4): [
-        ("scroll over a quadric surface", SCROLL_OVER_SURFACE, {"c2_base": 4}, "E*")
-    ],
-    (3, 9, 3): [
-        ("scroll over the plane", SCROLL_OVER_SURFACE, {"c2_base": 3}, "E*"),
-        ("quadric fibration over a line", QUADRIC_FIBRATION, {}, "E*"),
-    ],
-    (4, 8, 2): [
-        (
-            "hyperplane section of a line times a quadric threefold",
-            QUADRIC_FIBRATION,
-            {},
-            "E*",
-        )
-    ],
-    (5, 7, 1): [
-        (
-            "del Pezzo threefold of degree seven (blown-up projective space)",
-            "pushforward",
-            {},
-            "",
-        )
-    ],
-    (6, 6, 0): [("rational normal threefold scroll", SCROLL_OVER_CURVE, {}, "E")],
-}
+# one row per threefold structure, as
+# (n, a, lam, g, eps, label, how, datum, existence, c2h, c3)
+# with the Chern degrees (c2.H, c3) of the structure.  `how` names the source
+# of (d, Delta) and `datum` its input: a structure system of `invariants`
+# (the c2 of a scroll's base surface, else None), "cited_d" (a cited inverse
+# degree), or "pushforward" of the Chern degrees (the cited inverse degree it
+# must reproduce, or None to take whatever it gives)
+_R3_ROWS = [
+    # nondegenerate branch in P^8 (cited classification of threefolds of
+    # small degree); Chern degrees verified against the printed Segre
+    # triples and the closed-form displays
+    (8, 0, 13, 8, 0, "internal projection of a genus-8 prime threefold", "cited_d", 5, "E", 24, -4),
+    (8, 1, 12, 7, 0, "linear threefold section of the spinor tenfold", "cited_d", 4, "E", 24, -10),
+    (8, 0, 12, 6, 0, "scroll over a ruled surface", SCROLL_OVER_SURFACE, 7, "?", 17, 14),
+    (8, 1, 11, 5, 0, "blow-up of a quadric threefold at five points", "cited_d", 3, "E", 16, 14),
+    (8, 1, 11, 5, 0, "scroll over the blown-up plane (one point)", SCROLL_OVER_SURFACE, 4, "E**", 17, 8),
+    (8, 2, 10, 4, 0, "scroll over a quadric surface", SCROLL_OVER_SURFACE, 4, "E*", 16, 8),
+    (8, 3, 9, 3, 0, "scroll over the plane", SCROLL_OVER_SURFACE, 3, "E*", 15, 6),
+    (8, 3, 9, 3, 0, "quadric fibration over a line", QUADRIC_FIBRATION, None, "E*", 16, 2),
+    (8, 4, 8, 2, 0, "hyperplane section of a line times a quadric threefold", QUADRIC_FIBRATION, None, "E*", 14, 6),
+    (8, 5, 7, 1, 0, "del Pezzo threefold of degree seven (blown-up projective space)", "pushforward", None, "", 12, 6),
+    (8, 6, 6, 0, 0, "rational normal threefold scroll", SCROLL_OVER_CURVE, None, "E", 12, 6),
+    # secant-defect-positive and degenerate cases (cited data)
+    (5, 1, 2, 0, 1, "quadric threefold", "pushforward", 1, "E", 8, 4),
+    (6, 3, 3, 0, 1, "Segre product of a line and a plane", "pushforward", 1, "E", 9, 6),
+    (7, 1, 6, 1, 0, "hyperplane section of the Segre product of two planes", "pushforward", 2, "E", 12, 6),
+    (7, 5, 5, 1, 1, "quintic del Pezzo threefold (linear section of the line Grassmannian of P^4)", "pushforward", 1, "E", 12, 4),
+    (7, 6, 4, 0, 1, "rational normal threefold scroll of degree four", "pushforward", 1, "E", 10, 6),
+    (8, 7, 8, 3, 1, "plane bundle of degree eight (extension scroll)", "pushforward", 1, "E*", 15, 6),
+    (8, 8, 7, 2, 1, "septic scroll with two rulings", "pushforward", 1, "E*", 14, 4),
+    (8, 9, 6, 1, 1, "product of three lines", "pushforward", 1, "E*", 12, 8),
+    (8, 10, 5, 0, 1, "rational normal threefold scroll of degree five", "pushforward", 1, "E", 11, 6),
+]
 
 _STRUCTURE_SYSTEMS = (QUADRIC_FIBRATION, SCROLL_OVER_CURVE, SCROLL_OVER_SURFACE)
 
 # the structure system of each labelled structure, for `check_row`
-_R3_KIND = {
-    label: how
-    for entries in _R3_STRUCTURES.values()
-    for label, how, _, _ in entries
-    if how in _STRUCTURE_SYSTEMS
-}
-
-# secant-defect-positive and degenerate threefold cases (cited data):
-# (n, a, lam, g, structure, d, eps, chi_expected, c2h, c3, existence)
-_R3_CITED = [
-    (5, 1, 2, 0, "quadric threefold", 1, 1, 1, 8, 4, "E"),
-    (6, 3, 3, 0, "Segre product of a line and a plane", 1, 1, 1, 9, 6, "E"),
-    (7, 1, 6, 1, "hyperplane section of the Segre product of two planes", 2, 0, 1, 12, 6, "E"),
-    (7, 5, 5, 1, "quintic del Pezzo threefold (linear section of the line Grassmannian of P^4)", 1, 1, 1, 12, 4, "E"),
-    (7, 6, 4, 0, "rational normal threefold scroll of degree four", 1, 1, 1, 10, 6, "E"),
-    (8, 7, 8, 3, "plane bundle of degree eight (extension scroll)", 1, 1, 1, 15, 6, "E*"),
-    (8, 8, 7, 2, "septic scroll with two rulings", 1, 1, 1, 14, 4, "E*"),
-    (8, 9, 6, 1, "product of three lines", 1, 1, 1, 12, 8, "E*"),
-    (8, 10, 5, 0, "rational normal threefold scroll of degree five", 1, 1, 1, 11, 6, "E"),
-]
-
-# Chern degrees (c2.H, c3) of the nondegenerate-branch structures, verified
-# against the printed Segre triples and the closed-form displays
-_R3_CHERN = {
-    (0, 12, 6, "scroll over a ruled surface"): (17, 14),
-    (0, 13, 8, "internal projection of a genus-8 prime threefold"): (24, -4),
-    (1, 11, 5, "blow-up of a quadric threefold at five points"): (16, 14),
-    (1, 11, 5, "scroll over the blown-up plane (one point)"): (17, 8),
-    (1, 12, 7, "linear threefold section of the spinor tenfold"): (24, -10),
-    (2, 10, 4, "scroll over a quadric surface"): (16, 8),
-    (3, 9, 3, "scroll over the plane"): (15, 6),
-    (3, 9, 3, "quadric fibration over a line"): (16, 2),
-    (4, 8, 2, "hyperplane section of a line times a quadric threefold"): (14, 6),
-    (5, 7, 1, "del Pezzo threefold of degree seven (blown-up projective space)"): (12, 6),
-    (6, 6, 0, "rational normal threefold scroll"): (12, 6),
-}
+_R3_KIND = {row[5]: row[6] for row in _R3_ROWS if row[6] in _STRUCTURE_SYSTEMS}
 
 
 def enumerate_r3(rules: RuleTable | None = None) -> list[CaseRow]:
-    """Threefold base loci: the nondegenerate P^8 branch runs over the
-    three (lam, g) families with (d, Delta) solved per structure; the
-    remaining rows are cited data with the image degree recomputed from
-    the pushforward formula."""
+    """Threefold base loci, one case per row of `_R3_ROWS`: the nondegenerate
+    P^8 rows lie in the three (lam, g) families with (d, Delta) solved per
+    structure; the remaining rows are cited data with the image degree
+    recomputed from the pushforward formula."""
     rules = rules or default_rule_table()
     out: list[CaseRow] = []
-    for a, lam, g in _r3_families():
-        chi = hp_relations(3, 8, a, 0, lam=lam, g=g)["chi"]
-        for label, how, data, exist in _R3_STRUCTURES.get((a, lam, g), []):
-            c2h, c3 = _R3_CHERN[(a, lam, g, label)]
-            if how in _STRUCTURE_SYSTEMS:
-                # a surface scroll is pinned by the c2 of its base surface
-                sols = [
-                    s
-                    for s in structure_formulas(how, lam, g, a)
-                    if s.get("c2_base") == data.get("c2_base")
-                ]
-                if len(sols) != 1:
-                    raise Infeasible(f"{how} not unique at a={a}")
-                d, Delta = sols[0]["d"], sols[0]["Delta"]
-            elif how == "cited_d":
-                d = data["d"]
-                # for image codimension <= 1 the image is a hypersurface (or
-                # the whole space), whose coindex pins Delta = 6 - d
-                if a > 1:
-                    raise Infeasible("cited inverse degree needs a <= 1 here")
-                Delta = 6 - d
-            elif how == "pushforward":
-                c1 = 2 * lam - 2 * g + 2
-                s = normal_segre_from_chern(3, 8, lam, (c1, c2h, c3))
-                deg_delta, d_delta = pushforward_degrees(3, 8, lam, s)
-                Delta = deg_delta
-                d = d_delta // Delta if Delta > 0 and d_delta % Delta == 0 else 0
-            else:
-                raise ValueError(how)
-            row = _case(
-                rules,
-                r=3,
-                n=8,
-                a=a,
-                lam=lam,
-                g=g,
-                structure=label,
-                d=d,
-                Delta=Delta,
-                existence=exist,
-                eps=0,
-                chi=chi,
-                c2h=c2h,
-                c3=c3,
-                provenance="family list with structure-specific "
-                "(d, Delta) resolution",
-            )
-            if row.struck_by is None:
-                out.append(row)
-    for n2, a, lam, g, label, d, eps, chi_exp, c2h, c3, exist in _R3_CITED:
-        chi = hp_relations(3, n2, a, eps, lam=lam, g=g)["chi"]
-        if chi != chi_exp:
-            raise Infeasible(f"chi mismatch for cited threefold row a={a}")
-        c1 = 2 * lam - 2 * g + 2
-        s = normal_segre_from_chern(3, n2, lam, (c1, c2h, c3))
-        deg_delta, d_delta = pushforward_degrees(3, n2, lam, s)
-        if deg_delta <= 0 or d_delta % deg_delta:
-            raise Infeasible("pushforward incompatible with a birational map")
-        Delta = deg_delta
-        if d_delta // Delta != d:
-            raise Infeasible(f"cited inverse degree contradicts pushforward a={a}")
+    for n, a, lam, g, eps, label, how, datum, exist, c2h, c3 in _R3_ROWS:
+        nondegenerate = n == 8 and eps == 0
+        if nondegenerate and (a, lam, g) not in _R3_FAMILIES:
+            raise Infeasible(f"nondegenerate threefold outside the families at a={a}")
+        if how in _STRUCTURE_SYSTEMS:
+            # a surface scroll is pinned by the c2 of its base surface
+            sols = [s for s in structure_formulas(how, lam, g, a) if s.get("c2_base") == datum]
+            if len(sols) != 1:
+                raise Infeasible(f"{how} not unique at a={a}")
+            d, Delta = sols[0]["d"], sols[0]["Delta"]
+        elif how == "cited_d":
+            # for image codimension <= 1 the image is a hypersurface (or
+            # the whole space), whose coindex pins Delta = 6 - d
+            if a > 1:
+                raise Infeasible("cited inverse degree needs a <= 1 here")
+            d, Delta = datum, 6 - datum
+        elif how == "pushforward":
+            _, Delta, d_delta = threefold_pushforward(n, lam, g, c2h, c3)
+            d = d_delta // Delta if Delta > 0 and d_delta % Delta == 0 else 0
+            if datum is not None and d != datum:
+                raise Infeasible(f"cited inverse degree contradicts pushforward a={a}")
+        else:
+            raise ValueError(how)
         row = _case(
             rules,
             r=3,
-            n=n2,
+            n=n,
             a=a,
             lam=lam,
             g=g,
@@ -511,11 +408,12 @@ def enumerate_r3(rules: RuleTable | None = None) -> list[CaseRow]:
             Delta=Delta,
             existence=exist,
             eps=eps,
-            chi=chi,
+            chi=hp_relations(3, n, a, eps, lam=lam, g=g)["chi"],
             c2h=c2h,
             c3=c3,
-            provenance="cited classification; image degree from the "
-            "pushforward formula",
+            provenance="family list with structure-specific (d, Delta) resolution"
+            if nondegenerate
+            else "cited classification; image degree from the pushforward formula",
         )
         if row.struck_by is None:
             out.append(row)
@@ -769,8 +667,7 @@ def check_row(row: CaseRow) -> list[RelationReport]:
         if row.chi is not None:
             rep("hilbert_chi", hp["chi"] == row.chi)
         if row.n == 8 and row.eps == 0:
-            fams = set(_r3_families())
-            rep("family_membership", (row.a, row.lam, row.g) in fams)
+            rep("family_membership", (row.a, row.lam, row.g) in _R3_FAMILIES)
         if row.c2h is not None and row.c3 is not None:
             try:
                 prof, _ = segre_chern(3, row.n, row.lam, row.g, row.d, row.Delta)
@@ -781,9 +678,9 @@ def check_row(row: CaseRow) -> list[RelationReport]:
                 )
             except Infeasible as e:
                 rep("chern_displays", False, str(e))
-            c1 = 2 * row.lam - 2 * row.g + 2
-            s = normal_segre_from_chern(3, row.n, row.lam, (c1, row.c2h, row.c3))
-            deg_delta, d_delta = pushforward_degrees(3, row.n, row.lam, s)
+            _, deg_delta, d_delta = threefold_pushforward(
+                row.n, row.lam, row.g, row.c2h, row.c3
+            )
             rep(
                 "pushforward_degrees",
                 deg_delta == row.Delta and d_delta == row.d * row.Delta,

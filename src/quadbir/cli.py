@@ -264,7 +264,7 @@ def cmd_invariants(args) -> int:
             kwargs = {}
             if args.g is not None:
                 kwargs["g"] = args.g
-            if getattr(args, "lam", None) is not None:
+            if args.lam is not None:
                 kwargs["lam"] = args.lam
             if args.chi is not None:
                 kwargs["chi"] = args.chi
@@ -280,15 +280,14 @@ def cmd_invariants(args) -> int:
         out["secant_defect"] = delta
         out["inverse_base_dim"] = r_prime
         out["secant_degree"] = deg_sec
-    lam = getattr(args, "lam", None)
-    if lam is not None and args.g is not None:
+    if args.lam is not None and args.g is not None:
         try:
             prof, derived = segre_chern(
-                args.r, args.n, lam, args.g, args.d, args.delta
+                args.r, args.n, args.lam, args.g, args.d, args.delta
             )
             out["chern_degrees"] = list(prof.c)
             out["segre_degrees"] = list(prof.s)
-            out.update({k: v for k, v in derived.items()})
+            out.update(derived)
         except (Infeasible, ValueError) as e:
             out["segre_chern"] = f"not determined: {e}"
     text = "\n".join(f"{k}: {v}" for k, v in out.items())

@@ -41,9 +41,9 @@ from .invariants import (
     double_point,
     k2_thresholds,
     liftability_certificate,
-    normal_segre_from_chern,
     pushforward_degrees,
     segre_chern,
+    threefold_pushforward,
 )
 from .maps import (
     HeavyComputation,
@@ -383,16 +383,17 @@ def segre_profile(
     return step
 
 
-def chern(lam: int, chern_degrees: tuple, image_degree: int, inverse_degree: int | None = None,
-          segre: tuple | None = None, provenance: str = "", suffix: str = "") -> Step:
+def chern(lam: int, g: int, chern_degrees: tuple, image_degree: int,
+          inverse_degree: int | None = None, segre: tuple | None = None, provenance: str = "",
+          suffix: str = "") -> Step:
     """Image degree (and optionally inverse degree and Segre degrees) of a
-    degree-lam threefold base locus in P^8 with the given Chern degrees."""
+    threefold base locus in P^8 of degree lam and sectional genus g with the
+    given Chern degrees (c2.H, c3)."""
 
     def step(ctx: _Ctx) -> None:
-        s = normal_segre_from_chern(3, 8, lam, chern_degrees)
+        s, deg_delta, d_delta = threefold_pushforward(8, lam, g, *chern_degrees)
         if segre is not None:
             ctx.checks.append(_eq("segre_degrees", segre, s, provenance))
-        deg_delta, d_delta = pushforward_degrees(3, 8, lam, list(s))
         ctx.checks.append(_eq("image_degree" + suffix, image_degree, deg_delta))
         if inverse_degree is not None:
             ctx.checks.append(_eq("inverse_degree", inverse_degree, d_delta // deg_delta))
@@ -522,10 +523,8 @@ def _del_pezzo_lift_certificate(ctx: _Ctx) -> None:
     """Degree-19 image whose candidate inverse degree product is 25, so the
     inverse cannot lift to an integral-degree representative."""
     checks = ctx.checks
-    prof, _ = segre_chern(3, 8, 7, 1, None, None)
-    s = normal_segre_from_chern(3, 8, 7, (prof.c[0], 12, 6))
+    s, deg_delta, d_delta = threefold_pushforward(8, 7, 1, 12, 6)
     checks.append(_eq("segre_degrees", (-49, 201, -627), s, "del Pezzo Chern degrees 14, 12, 6"))
-    deg_delta, d_delta = pushforward_degrees(3, 8, 7, list(s))
     checks.append(_eq("image_degree", 19, deg_delta))
     checks.append(_eq("lift_candidate_degree_product", 25, d_delta,
                       "inconsistent with an integral inverse degree"))
@@ -564,8 +563,8 @@ CORPUS: dict[str, ExampleSpec] = {
             FULL,
             (base(1, 5, 1), smooth(1), gap(0, "square Cremona: five quadrics"),
              rows((1, 4, 0, 5, 1, 3, 1)),
-             _heavy("secant_quintic_hypersurface", "two-copy elimination", _secant_is_quintic,
-                    164_548)),
+             _heavy("secant_quintic_hypersurface", "sum-and-difference elimination",
+                    _secant_is_quintic, 164_548)),
             base=elliptic_quintic_pfaffian,
         ),
         # the quartic curve case runs symbolically, its surface and threefold
@@ -726,7 +725,7 @@ CORPUS: dict[str, ExampleSpec] = {
             "octic_plane_bundle_oadp",
             "octic plane bundle with one apparent double point; degree-29 image",
             NUMERIC_ONLY,
-            (chern(8, (12, 15, 6), 29, inverse_degree=1, segre=(-60, 267, -909),
+            (chern(8, 3, (15, 6), 29, inverse_degree=1, segre=(-60, 267, -909),
                    provenance="recorded Chern degrees 12, 15, 6"),
              rows((3, 8, 7, 8, 3, 1, 29))),
         ),
@@ -735,15 +734,15 @@ CORPUS: dict[str, ExampleSpec] = {
             "septic and sextic two-ruling threefolds; degree-33 and degree-38 images"
             " with singular locus of dimension between 1 and 5",
             NUMERIC_ONLY,
-            (chern(7, (12, 14, 4), 33, suffix="_septic_case"),
-             chern(6, (12, 12, 8), 38, suffix="_sextic_case"),
+            (chern(7, 2, (14, 4), 33, suffix="_septic_case"),
+             chern(6, 1, (12, 8), 38, suffix="_sextic_case"),
              rows((3, 8, 8, 7, 2, 1, 33), (3, 8, 9, 6, 1, 1, 38))),
         ),
         ExampleSpec(
             "quintic_scroll_oadp",
             "quintic threefold scroll with one apparent double point; degree-42 image",
             NUMERIC_ONLY,
-            (chern(5, (12, 11, 6), 42, inverse_degree=1),
+            (chern(5, 0, (11, 6), 42, inverse_degree=1),
              quadrics(35, _QUINTIC_SCROLL_QUADRICS), rows((3, 8, 10, 5, 0, 1, 42))),
             base=lambda: in_hyperplane(scroll((1, 2, 2))),
         ),

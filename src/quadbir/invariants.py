@@ -153,7 +153,7 @@ def segre_chern(
             ss = (s1, s2)
         return ClassProfile(2, cs, ss), derived
     if r == 3:
-        c1 = 2 * lam - 2 * g + 2
+        c1 = _threefold_c1(lam, g)
         s1 = (1 - n) * lam - 2 * g + 2
         if d is None or Delta is None:
             return ClassProfile(3, (c1,), (s1,)), {}
@@ -257,6 +257,21 @@ def pushforward_degrees(
     for j in range(1, r + 1):
         d_delta -= comb(n - 1, j - 1) * 2 ** (j - 1) * svals[r - j]
     return deg_delta, d_delta
+
+
+def _threefold_c1(lam: int, g: int) -> int:
+    """c_1 . H^2 of a threefold base locus, by adjunction on its curve section."""
+    return 2 * lam - 2 * g + 2
+
+
+def threefold_pushforward(
+    n: int, lam: int, g: int, c2h: int, c3: int
+) -> tuple[tuple[int, ...], int, int]:
+    """Normal Segre degrees s and the pushforward degrees (Delta, d*Delta) of
+    a threefold base locus in P^n of degree lam and sectional genus g with
+    Chern degrees c2.H and c3."""
+    s = normal_segre_from_chern(3, n, lam, (_threefold_c1(lam, g), c2h, c3))
+    return (s, *pushforward_degrees(3, n, lam, s))
 
 
 def liftability_certificate(deg_delta: int, d_delta: int) -> bool:

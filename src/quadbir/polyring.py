@@ -32,6 +32,14 @@ class PolyParseError(ValueError):
         super().__init__(message)
 
 
+def _exact(c) -> Fraction:
+    """An int or Fraction operand as a Fraction; anything else is refused,
+    so that no float or string enters the exact arithmetic."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
+
+
 # ---------------------------------------------------------------------------
 # monomial helpers (exponent tuples)
 
@@ -155,7 +163,7 @@ class Ring:
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return Poly(self, {})
         return Poly(self, {(0,) * self.nvars: c})
@@ -301,7 +309,7 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return Poly(self.ring, {})
         return Poly(self.ring, {e: x * c for e, x in self.terms.items()})
@@ -435,7 +443,12 @@ def parse_poly(ring: Ring, text: str, line: int | None = None) -> Poly:
         while i < n:
             kind, val = tokens[i]
             if kind == "num":
-                coeff *= Fraction(val)
+                if not expect_factor:
+                    raise PolyParseError(f"missing '*' before {val!r}", line)
+                try:
+                    coeff *= Fraction(val)
+                except ZeroDivisionError:
+                    raise PolyParseError(f"zero denominator in {val!r}", line) from None
                 saw_factor = True
                 i += 1
                 expect_factor = False

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from quadbir import classify
 from quadbir.classify import (
     check_row,
     check_table,
@@ -14,6 +15,7 @@ from quadbir.classify import (
     load_table,
     table_all_pass,
 )
+from quadbir.invariants import Infeasible
 
 
 def test_enumerate_r1_case_list():
@@ -41,10 +43,20 @@ def test_enumerate_r1_rule_removal_enlarges():
     assert len(rows) == 5
 
 
+def _assert_rows_match_table(rows, r):
+    """Each enumerated row equals the table row of its key in every field
+    but the provenance and the strike mark."""
+    table = {row.key(): row for row in load_table() if row.r == r}
+    assert sorted(row.key() for row in rows) == sorted(table)
+    for row in rows:
+        assert replace(row, provenance="", struck_by=None) == replace(
+            table[row.key()], provenance="", struck_by=None
+        )
+
+
 def test_enumerate_r2_matches_table():
     rows = enumerate_r2()
-    expected = {row.key() for row in load_table() if row.r == 2}
-    assert {row.key() for row in rows} == expected
+    _assert_rows_match_table(rows, 2)
     assert len(rows) == 10
 
 
@@ -58,13 +70,21 @@ def test_enumerate_r2_without_degree_rule_enlarges():
 
 def test_enumerate_r3_matches_table():
     rows = enumerate_r3()
-    expected = {row.key() for row in load_table() if row.r == 3}
-    assert {row.key() for row in rows} == expected
+    # every field but the provenance, existence flags included
+    _assert_rows_match_table(rows, 3)
     assert len(rows) == 19
-    # existence flags travel with the rows
-    flags = {r.key(): r.existence for r in rows}
-    assert flags[(3, 8, 0, 12, 6, 5, 1)] == "?"
-    assert flags[(3, 8, 1, 11, 5, 4, 2)] == "E**"
+
+
+def test_enumerate_r3_rejects_inconsistent_rows(monkeypatch):
+    rows = classify._R3_ROWS
+    # a cited inverse degree the pushforward contradicts (it gives d = 1)
+    wrong_d = rows[-1][:7] + (2,) + rows[-1][8:]
+    # a nondegenerate row outside the three (lam, g) families
+    stray = (8, 0, 12, 5) + rows[2][4:]
+    for row in (wrong_d, stray):
+        monkeypatch.setattr(classify, "_R3_ROWS", [row])
+        with pytest.raises(Infeasible):
+            enumerate_r3()
 
 
 def test_enumerate_r3_gap_five_excluded_by_rules():

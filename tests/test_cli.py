@@ -134,6 +134,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "hilbert", str(bad))
     assert code == 2
     assert "line 3" in err
+    bad.write_text("ring x y over QQ\nideal:\n3/0*x - y\n")
+    code, _, err = run(capsys, "hilbert", str(bad))
+    assert code == 2
+    assert "line 3" in err and "zero denominator" in err
     code, _, err = run(capsys, "hilbert", str(tmp_path / "missing.ideal"))
     assert code == 2
 

@@ -166,6 +166,27 @@ def test_parser_errors():
         ring.parse("q + 1")
     with pytest.raises(PolyParseError):
         ring.parse("x^y")
+    # a number after a factor needs an explicit '*'
+    for text in ("x^2 3", "x 2", "2 3"):
+        with pytest.raises(PolyParseError, match="missing"):
+            ring.parse(text)
+    assert ring.parse("2x") == ring.parse("2*x") == ring.parse("x*2")
+    with pytest.raises(PolyParseError, match="zero denominator"):
+        ring.parse("3/0*x - y")
+
+
+def test_operands_must_be_exact(xy):
+    ring, x, y = xy
+    for bad in (0.1, "1"):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad + x
+        with pytest.raises(TypeError):
+            x.scale(bad)
+        with pytest.raises(TypeError):
+            ring.const(bad)
+    assert x * Fraction(1, 2) == x.scale(Fraction(1, 2)) != x * 2
 
 
 def test_monomial_order_laws():
