@@ -260,15 +260,10 @@ def enumerate_r2(rules: RuleTable | None = None) -> list[CaseRow]:
     out: list[CaseRow] = []
     n = 6
     for a in range(0, A_MAX_R123 + 1):
-        lam_min = (13 - a + 1) // 2  # ceil((13-a)/2)
+        lam_min = (13 - a + 1) // 2  # ceil((13-a)/2): g = 2 lam + a - 13 >= 0
         lam_max = 8 - a
         for lam in range(max(lam_min, 1), lam_max + 1):
             g = 2 * lam + a - 13
-            if g < 0:
-                continue
-            hp = hp_relations(2, n, a, 0, g=g)
-            if hp["lam"] != lam:
-                continue
             dd = r2_ddelta_identity(a)
             for d in range(1, dd + 1):
                 if dd % d:
@@ -287,7 +282,7 @@ def enumerate_r2(rules: RuleTable | None = None) -> list[CaseRow]:
                     d=d,
                     Delta=Delta,
                     eps=0,
-                    chi=lam + a - 7,
+                    chi=hp_relations(2, n, a, 0, g=g)["chi"],
                     provenance="degree/genus identities with the two "
                     "displayed (d, Delta) relations",
                 )
@@ -460,16 +455,12 @@ _R4_STRUCTURES = {
 }
 
 
-def _r4_three_vanishings(a: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Solve hp(-1) = hp(-2) = hp(-3) = 0 for (lam, g, chi) at a given gap."""
+def _r4_twists(a: int, lam: int | Fraction) -> tuple[Fraction, Fraction]:
+    """Solve hp(-1) = hp(-2) = 0 for (g, chi) at a given gap and degree."""
     # hp(-1) = 3 chi + g - 2 lam - a + 21
     # hp(-2) = 6 chi + 4 g - 7 lam - 3 a + 73
-    # hp(-3) = 10 chi + 10 g - 15 lam - 6 a + 155
-    # eliminating chi and g leaves 10 lam + 4 a - 110 = 0
-    lam = Fraction(55 - 2 * a, 5)
-    g = (3 * lam + a - 31) / 2
-    chi = (2 * lam - g + a - 21) / 3
-    return lam, g, chi
+    g = Fraction(3 * lam + a - 31, 2)
+    return g, (2 * lam - g + a - 21) / 3
 
 
 def enumerate_r4() -> tuple[list[CaseRow], list[R4Family]]:
@@ -500,39 +491,29 @@ def enumerate_r4() -> tuple[list[CaseRow], list[R4Family]]:
                 )
             )
 
-    # gaps 9..10: all three twisted Euler characteristics vanish
+    # gaps 9..10: hp(-3) = 10 chi + 10 g - 15 lam - 6 a + 155 vanishes too,
+    # which with the other two twists leaves 10 lam + 4 a - 110 = 0
     for a in (10, 9):
-        lam_f, g_f, chi_f = _r4_three_vanishings(a)
-        if any(v.denominator != 1 for v in (lam_f, g_f, chi_f)):
+        lam = Fraction(55 - 2 * a, 5)
+        g, chi = _r4_twists(a, lam)
+        if any(v.denominator != 1 for v in (lam, g, chi)):
             continue
-        lam, g, chi = int(lam_f), int(g_f), int(chi_f)
         if lam < 7 or lam > 17 - a or g < 0:
             continue
         # degree-8 del Pezzo branch excluded by the cited classification
-        add(a, lam, g, chi, "three vanishing twists")
-    # gaps 5..8: two vanishing twists force lam = 17 - a, g = 10 - a, chi 1
-    for a in (8, 7, 6, 5):
-        for lam in range(7, min(12, 17 - a) + 1):
-            if (3 * lam + a - 31) % 2 or (lam + a - 11) % 6:
-                continue
-            g = (3 * lam + a - 31) // 2
-            chi = (lam + a - 11) // 6
-            if g < 0 or chi != 1:
+        add(a, int(lam), int(g), int(chi), "three vanishing twists")
+    # gaps 3..8: two vanishing twists with chi = 1 force lam = 17 - a, g = 10 - a
+    for a in range(3, 9):
+        for lam in range(7, 18 - a):
+            g, chi = _r4_twists(a, lam)
+            if chi != 1:
                 continue
             if a == 8:
                 continue  # cited: no such ninefold-gap variety exists
-            add(a, lam, g, chi, "two vanishing twists")
-    # gap 4: the determined branch plus the cited Mukai row at degree 14
-    for lam in range(7, 15):
-        if (3 * lam - 27) % 2 or (lam - 7) % 6:
-            continue
-        g = (3 * lam - 27) // 2
-        chi = (lam - 7) // 6
-        if g >= 0 and chi == 1:
-            add(4, lam, g, chi, "two vanishing twists")
+            add(a, lam, int(g), 1, "two vanishing twists")
+    # gap 4 also carries the cited Mukai row at degree 14
     add(4, 14, 8, 1, "cited: anticanonically twice-embedded (Mukai) fourfold")
-    # gap 3: determined row at degree 14, open family above
-    add(3, 14, 7, 1, "two vanishing twists")
+    # gap 3: open family above the determined row at degree 14
     families.append(R4Family(a=3, lam_min=14, lam_max=16, g_max=11))
     families.append(R4Family(a=2, lam_min=15, lam_max=18, g_max=14))
     # gap 1: the two-vanishing branch gives (10, 0, 0), impossible (cited)

@@ -261,14 +261,10 @@ def cmd_invariants(args) -> int:
     out: dict = {}
     try:
         if args.r in (1, 2, 3, 4):
-            kwargs = {}
-            if args.g is not None:
-                kwargs["g"] = args.g
-            if args.lam is not None:
-                kwargs["lam"] = args.lam
-            if args.chi is not None:
-                kwargs["chi"] = args.chi
-            hp = hp_relations(args.r, args.n, args.a or 0, args.eps, **kwargs)
+            hp = hp_relations(
+                args.r, args.n, args.a or 0, args.eps,
+                g=args.g, lam=args.lam, chi=args.chi,
+            )
             out["hilbert_relations"] = {
                 k: (str(v) if isinstance(v, tuple) else v) for k, v in hp.items()
             }

@@ -295,9 +295,10 @@ def double_point(
     """Residual of the double-point identity in the secant-defect-zero case
     (n = 2r + 2); zero means the invariants are consistent.
 
-    r=1 uses the tangent Segre degrees directly; r=2 routes through chi and
-    the surface Chern degrees; r=3 compares the stated K^3 value with the
-    closed form lam^2 + 23 lam - 24 g - (7d+1) Delta - 4d + 36 a - 226.
+    r=1 uses the tangent Segre degrees directly; r=2 reads chi from
+    `hp_relations` and the surface Chern degrees from `segre_chern`; r=3
+    compares the stated K^3 value with the closed form
+    lam^2 + 23 lam - 24 g - (7d+1) Delta - 4d + 36 a - 226.
     """
     if r == 1:
         # s_1(T) = 2g - 2, s_0 . H = lam
@@ -305,10 +306,8 @@ def double_point(
     if r == 2:
         if Delta is None or a is None:
             raise ValueError("r=2 residual needs Delta and a")
-        n2 = 6
-        chi = Fraction(2 * a - n2 * n2 + 5 * n2 + 2 * g - 0 + 4, 4)
-        c1 = lam - 2 * g + 2
-        c2 = -9 * lam + 10 * g - Delta + 54
+        chi = hp_relations(2, 6, a, 0, g=g)["chi"]
+        c1, c2 = segre_chern(2, 6, lam, g, Delta=Delta)[0].c
         rhs = lam * lam - 10 * lam - 12 * chi + 2 * c2 + 5 * c1
         return Fraction(2 * (2 * d - 1)) - rhs
     if r == 3:
@@ -371,29 +370,31 @@ def structure_formulas(
 ) -> list[dict]:
     """Solve the displayed structure systems for positive integers (d, Delta).
 
-    quadric_fibration_r3:  d*Delta = 23 lam - 16 g + 12 a - 180,
-                           Delta + 4 d = lam^2 - 130 lam + 64 g - 48 a + 1058.
-    scroll_over_curve_r3:  d*Delta = 22 lam - 20 g + 12 a - 176 together with
-                           lam^2 + 23 lam - 78 g - (7d+1) Delta - 4d + 36 a - 172 = 0.
-    scroll_over_surface_r3 (d required or scanned):
-                           Delta = (lam^2 - 107 lam + 48 g - 4 d - 36 a + 878)/(d+1),
-                           plus the displayed c2 value of the base surface.
+    Each system pairs a displayed value of d*Delta (or of Delta) with the
+    double-point formula at the structure's K^3 (`structure_k3`), evaluated
+    through `double_point`:
+
+    quadric_fibration_r3:  d*Delta = 23 lam - 16 g + 12 a - 180, which with
+                           the double point reads Delta + 4 d = lam^2 - 130 lam
+                           + 64 g - 48 a + 1058.
+    scroll_over_curve_r3:  d*Delta = 22 lam - 20 g + 12 a - 176, which with
+                           the double point reads (7d+1) Delta + 4d = lam^2
+                           + 23 lam - 78 g + 36 a - 172.
+    scroll_over_surface_r3 (d required or scanned): the double point solved
+                           for Delta = (lam^2 - 107 lam + 48 g - 4 d - 36 a
+                           + 878)/(d+1), plus the displayed c2 value of the
+                           base surface.
     """
-    if kind == QUADRIC_FIBRATION:
-        dd = 23 * lam - 16 * g + 12 * a - 180
-        ssum = lam * lam - 130 * lam + 64 * g - 48 * a + 1058
+    if kind in (QUADRIC_FIBRATION, SCROLL_OVER_CURVE):
+        if kind == QUADRIC_FIBRATION:
+            dd = 23 * lam - 16 * g + 12 * a - 180
+        else:
+            dd = 22 * lam - 20 * g + 12 * a - 176
+        k3 = structure_k3(kind, lam, g)
         return [
-            {"d": dv, "Delta": Dv}
-            for dv, Dv in _solve_product_linear(dd, ssum, coeff_d=4)
-        ]
-    if kind == SCROLL_OVER_CURVE:
-        dd = 22 * lam - 20 * g + 12 * a - 176
-        total = lam * lam + 23 * lam - 78 * g + 36 * a - 172
-        # (7d+1) Delta + 4d = total  =>  Delta + 4d = total - 7 dd
-        ssum = total - 7 * dd
-        return [
-            {"d": dv, "Delta": Dv}
-            for dv, Dv in _solve_product_linear(dd, ssum, coeff_d=4)
+            {"d": dv, "Delta": dd // dv}
+            for dv in range(1, dd + 1)
+            if dd % dv == 0 and double_point(3, lam, g, dv, dd // dv, a, k3=k3) == 0
         ]
     if kind == SCROLL_OVER_SURFACE:
         ds = [d] if d is not None else list(range(1, 13))
@@ -420,22 +421,6 @@ def structure_formulas(
             out.append({"d": dv, "Delta": Dv, "c2_base": int(c2y)})
         return out
     raise ValueError(f"unknown structure kind {kind!r}")
-
-
-def _solve_product_linear(
-    prod: int, ssum: int, coeff_d: int
-) -> list[tuple[int, int]]:
-    """Positive integer solutions of d*Delta = prod, Delta + coeff_d*d = ssum."""
-    out = []
-    if prod <= 0:
-        return out
-    for dv in range(1, ssum // coeff_d + 1):
-        Dv = ssum - coeff_d * dv
-        if Dv <= 0:
-            continue
-        if dv * Dv == prod:
-            out.append((dv, Dv))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,7 @@ def parse_poly(ring: Ring, text: str, line: int | None = None) -> Poly:
         exps = [0] * nvars
         saw_factor = False
         expect_factor = True
+        after_coeff = False
         while i < n:
             kind, val = tokens[i]
             if kind == "num":
@@ -452,10 +453,10 @@ def parse_poly(ring: Ring, text: str, line: int | None = None) -> Poly:
                 saw_factor = True
                 i += 1
                 expect_factor = False
-                # allow implicit '*' between coefficient and variable
+                after_coeff = True
                 continue
             if kind == "name":
-                if not expect_factor and tokens[i - 1][0] == "name":
+                if not expect_factor and not after_coeff:
                     raise PolyParseError(
                         f"missing '*' before {val!r}", line
                     )
@@ -473,6 +474,7 @@ def parse_poly(ring: Ring, text: str, line: int | None = None) -> Poly:
                 exps[j] += power
                 saw_factor = True
                 expect_factor = False
+                after_coeff = False
                 continue
             if kind == "op" and val == "*":
                 if expect_factor:

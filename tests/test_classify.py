@@ -1,4 +1,6 @@
-from dataclasses import replace
+import json
+import os
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -15,7 +17,10 @@ from quadbir.classify import (
     load_table,
     table_all_pass,
 )
-from quadbir.invariants import Infeasible
+from quadbir.hilbert import poly_eval
+from quadbir.invariants import Infeasible, hilbert_poly_r4
+
+CHECK_TABLE_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "check_table.json")
 
 
 def test_enumerate_r1_case_list():
@@ -120,6 +125,22 @@ def test_enumerate_r4_rows_and_families():
     assert by_gap[0].lam_max is None
 
 
+def test_enumerate_r4_rows_satisfy_their_twists():
+    # the provenance names the twists at which the Hilbert polynomial vanishes
+    twists = {"three vanishing twists": (-1, -2, -3), "two vanishing twists": (-1, -2)}
+    rows, _ = enumerate_r4()
+    seen = set()
+    for row in rows:
+        ts = twists.get(row.provenance)
+        if ts is None:
+            assert row.provenance.startswith("cited")
+            continue
+        seen.add(row.provenance)
+        hp = hilbert_poly_r4(row.lam, row.g, row.chi, row.a)
+        assert [poly_eval(hp, t) for t in ts] == [0] * len(ts), row
+    assert seen == set(twists)
+
+
 def test_coindex_solver_triples():
     assert coindex_solver(3, 2, 10) == [(3, 8, 0), (6, 13, 1), (9, 18, 2)]
     # the linear-inverse coindex-2 family: exactly the slice tower rows
@@ -136,6 +157,16 @@ def test_coindex_solver_closure():
             assert (r - d - c + 2) % d == 0
             assert n == 2 * r + 2 - delta
             assert delta >= 0
+
+
+def test_check_table_relations_are_pinned():
+    # every relation's name, verdict and detail string, per table row
+    with open(CHECK_TABLE_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    got = {str(row.key()): [asdict(r) for r in reps] for row, reps in check_table()}
+    assert list(got) == list(golden)
+    for key, reps in golden.items():
+        assert got[key] == reps, key
 
 
 def test_table_all_pass():

@@ -159,6 +159,44 @@ def test_scroll_over_curve_unique_solution():
         assert structure_formulas(SCROLL_OVER_CURVE, lam, g, a) == []
 
 
+def test_structure_systems_match_displayed_pairs():
+    # the displayed (d*Delta, second equation) pairs, solved by brute force,
+    # against `structure_formulas`, which takes its second equation from the
+    # double-point formula
+    displayed = {
+        QUADRIC_FIBRATION: (
+            lambda lam, g, a: 23 * lam - 16 * g + 12 * a - 180,
+            lambda lam, g, a, d, Delta: Delta + 4 * d
+            == lam * lam - 130 * lam + 64 * g - 48 * a + 1058,
+        ),
+        SCROLL_OVER_CURVE: (
+            lambda lam, g, a: 22 * lam - 20 * g + 12 * a - 176,
+            lambda lam, g, a, d, Delta: (7 * d + 1) * Delta + 4 * d
+            == lam * lam + 23 * lam - 78 * g + 36 * a - 172,
+        ),
+    }
+    solutions = 0
+    for lam in range(1, 30):
+        for g in range(0, 25):
+            for a in range(0, 13):
+                for kind in (QUADRIC_FIBRATION, SCROLL_OVER_CURVE, SCROLL_OVER_SURFACE):
+                    sols = structure_formulas(kind, lam, g, a)
+                    if kind in displayed:
+                        product, second = displayed[kind]
+                        dd = product(lam, g, a)
+                        expected = [
+                            {"d": d, "Delta": dd // d}
+                            for d in range(1, dd + 1)
+                            if dd % d == 0 and second(lam, g, a, d, dd // d)
+                        ]
+                        assert sols == expected, (kind, lam, g, a)
+                    for s in sols:
+                        k3 = structure_k3(kind, lam, g, a, s["d"] * s["Delta"])
+                        assert double_point(3, lam, g, s["d"], s["Delta"], a, k3=k3) == 0
+                    solutions += len(sols)
+    assert solutions == 18087
+
+
 def test_scroll_over_surface_quotients():
     out = structure_formulas(SCROLL_OVER_SURFACE, 12, 6, 0, d=5)
     assert out == [{"d": 5, "Delta": 1, "c2_base": 7}]

@@ -170,7 +170,11 @@ def test_parser_errors():
     for text in ("x^2 3", "x 2", "2 3"):
         with pytest.raises(PolyParseError, match="missing"):
             ring.parse(text)
-    assert ring.parse("2x") == ring.parse("2*x") == ring.parse("x*2")
+    # a variable after a factor other than a coefficient needs one too
+    with pytest.raises(PolyParseError, match="missing"):
+        ring.parse("x^2 y")
+    assert ring.parse("2x") == ring.parse("2 x") == ring.parse("2*x") == ring.parse("x*2")
+    assert ring.parse("x^2*y") == ring.parse("x*x*y")
     with pytest.raises(PolyParseError, match="zero denominator"):
         ring.parse("3/0*x - y")
 
