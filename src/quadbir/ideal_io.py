@@ -8,11 +8,15 @@ Format:
     x1^2 - x0*x2
     2*x0 - 1/3*x1
 
-One generator per line after the `ideal:` marker.  Coefficients are
-integers or fractions, `*` separates factors (optional between a leading
-coefficient and a variable), `^` takes powers.  Serialization is canonical
-(terms in descending degree-reverse-lexicographic order), so files
-round-trip identically.
+One generator per line after the `ideal:` marker.  A generator is a sum
+of terms; a term is a run of signs, then units joined by `*`; a unit is
+a number (`3`, `1/2`) with an optional variable after it (`2x0`, where
+the `*` may be left out), or a variable with an optional `^` power.  The
+comment above `polyring.parse_poly` is the authoritative statement of
+this grammar.  Header names must be variables of that grammar, so that a
+generator line can reach each of them.  Serialization is canonical (terms
+in descending degree-reverse-lexicographic order), so files round-trip
+identically.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import io
 
 from .groebner import Ideal
-from .polyring import Poly, PolyParseError, Ring, format_poly, parse_poly
+from .polyring import VARIABLE, Poly, PolyParseError, Ring, format_poly, parse_poly
 
 
 def parse_ideal_text(text: str) -> Ideal:
@@ -44,6 +48,9 @@ def parse_ideal_text(text: str) -> Ideal:
             names = body.split()
             if not names:
                 raise PolyParseError("ring header lists no variables", lineno)
+            for name in names:
+                if not VARIABLE.fullmatch(name):
+                    raise PolyParseError(f"bad variable name {name!r}", lineno)
             ring = Ring(names)
             continue
         if line == "ideal:":

@@ -372,7 +372,8 @@ def structure_formulas(
 
     Each system pairs a displayed value of d*Delta (or of Delta) with the
     double-point formula at the structure's K^3 (`structure_k3`), evaluated
-    through `double_point`:
+    through `double_point`.  A given `d` pins the solution for every kind;
+    without it, d is scanned:
 
     quadric_fibration_r3:  d*Delta = 23 lam - 16 g + 12 a - 180, which with
                            the double point reads Delta + 4 d = lam^2 - 130 lam
@@ -380,7 +381,7 @@ def structure_formulas(
     scroll_over_curve_r3:  d*Delta = 22 lam - 20 g + 12 a - 176, which with
                            the double point reads (7d+1) Delta + 4d = lam^2
                            + 23 lam - 78 g + 36 a - 172.
-    scroll_over_surface_r3 (d required or scanned): the double point solved
+    scroll_over_surface_r3 (d scanned over 1..12): the double point solved
                            for Delta = (lam^2 - 107 lam + 48 g - 4 d - 36 a
                            + 878)/(d+1), plus the displayed c2 value of the
                            base surface.
@@ -394,7 +395,9 @@ def structure_formulas(
         return [
             {"d": dv, "Delta": dd // dv}
             for dv in range(1, dd + 1)
-            if dd % dv == 0 and double_point(3, lam, g, dv, dd // dv, a, k3=k3) == 0
+            if d in (None, dv)
+            and dd % dv == 0
+            and double_point(3, lam, g, dv, dd // dv, a, k3=k3) == 0
         ]
     if kind == SCROLL_OVER_SURFACE:
         ds = [d] if d is not None else list(range(1, 13))

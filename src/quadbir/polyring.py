@@ -393,106 +393,68 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# text format: rational coefficients, '*' between factors, '^' for powers.
-# '*' may be omitted between a coefficient and a variable ("2x0" == "2*x0").
+# text format, the one statement of its grammar (spaces may stand between
+# any two of its pieces):
+#
+#   polynomial := term (sign term)*        sign   := '+' | '-'
+#   term       := sign* unit ('*' unit)*   number := digits ('/' digits)?
+#   unit       := number variable? | variable ('^' digits)?
+#   variable   := [A-Za-z_][A-Za-z0-9_]*
+#
+# So '*' may be left out only between a number and the variable after it:
+# "2x^2" and "x*2 y" are read, "x 2" and "x y" are not.  Every run of
+# spaces below is followed by a piece that cannot begin with a space, so
+# the patterns refuse any line in linear time.  Names are ASCII on
+# purpose: `\w` would also read letters such as 'é'.
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^]))"
+VARIABLE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER = r"\d+(?:/\d+)?"
+_POWER = rf"{VARIABLE.pattern}(?:\s*\^\s*\d+)?"
+_UNIT = rf"(?:{_NUMBER}(?:\s*{_POWER})?|{_POWER})"
+_TERM = re.compile(
+    rf"\s*(?P<signs>(?:[-+]\s*)*)(?P<units>{_UNIT}(?:\s*\*\s*{_UNIT})*)\s*"
+)
+_FACTOR = re.compile(
+    rf"(?P<number>{_NUMBER})|(?P<name>{VARIABLE.pattern})(?:\s*\^\s*(?P<power>\d+))?"
 )
 
 
-def _tokenize(text: str, line: int | None) -> list[tuple[str, str]]:
-    tokens = []
+def parse_poly(ring: Ring, text: str, line: int | None = None) -> Poly:
+    if not text.strip():
+        raise PolyParseError("empty polynomial", line)
+    terms: dict = {}
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise PolyParseError(f"unexpected character {rest[0]!r}", line)
-        pos = m.end()
-        for kind in ("num", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
-    return tokens
-
-
-def parse_poly(ring: Ring, text: str, line: int | None = None) -> Poly:
-    tokens = _tokenize(text, line)
-    if not tokens:
-        raise PolyParseError("empty polynomial", line)
-    nvars = ring.nvars
-    terms: dict = {}
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = Fraction(1)
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise PolyParseError("dangling sign", line)
-        coeff = sign
-        exps = [0] * nvars
-        saw_factor = False
-        expect_factor = True
-        after_coeff = False
-        while i < n:
-            kind, val = tokens[i]
-            if kind == "num":
-                if not expect_factor:
-                    raise PolyParseError(f"missing '*' before {val!r}", line)
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise PolyParseError(f"cannot read {text[pos:].strip()!r}", line)
+        factors = _FACTOR.finditer(m["units"])
+        if pos and not m["signs"]:
+            first = next(factors)
+            raise PolyParseError(
+                f"missing '*' before {first['number'] or first['name']!r}", line
+            )
+        coeff = Fraction(-1 if m["signs"].count("-") % 2 else 1)
+        exps = [0] * ring.nvars
+        for f in factors:
+            number, name, power = f.group("number", "name", "power")
+            if number:
                 try:
-                    coeff *= Fraction(val)
+                    coeff *= Fraction(number)
                 except ZeroDivisionError:
-                    raise PolyParseError(f"zero denominator in {val!r}", line) from None
-                saw_factor = True
-                i += 1
-                expect_factor = False
-                after_coeff = True
+                    raise PolyParseError(f"zero denominator in {number!r}", line) from None
                 continue
-            if kind == "name":
-                if not expect_factor and not after_coeff:
-                    raise PolyParseError(
-                        f"missing '*' before {val!r}", line
-                    )
-                j = ring._index.get(val)
-                if j is None:
-                    raise PolyParseError(f"unknown variable {val!r}", line)
-                power = 1
-                i += 1
-                if i < n and tokens[i] == ("op", "^"):
-                    i += 1
-                    if i >= n or tokens[i][0] != "num" or "/" in tokens[i][1]:
-                        raise PolyParseError("'^' needs an integer exponent", line)
-                    power = int(tokens[i][1])
-                    i += 1
-                exps[j] += power
-                saw_factor = True
-                expect_factor = False
-                after_coeff = False
-                continue
-            if kind == "op" and val == "*":
-                if expect_factor:
-                    raise PolyParseError("misplaced '*'", line)
-                expect_factor = True
-                i += 1
-                continue
-            break  # '+' or '-' begins the next term
-        if not saw_factor:
-            raise PolyParseError("empty term", line)
-        if expect_factor and tokens[i - 1] == ("op", "*"):
-            raise PolyParseError("dangling '*'", line)
+            j = ring._index.get(name)
+            if j is None:
+                raise PolyParseError(f"unknown variable {name!r}", line)
+            exps[j] += int(power or 1)
         e = tuple(exps)
         s = terms.get(e, Fraction(0)) + coeff
         if s:
             terms[e] = s
         else:
             terms.pop(e, None)
+        pos = m.end()
     return Poly(ring, terms)
 
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from quadbir import maps
 from quadbir.corpus import (
     CORPUS,
     FAIL,
@@ -19,6 +20,7 @@ from quadbir.corpus import (
 from quadbir.groebner import StepBudget, ideal_equal
 from quadbir.hilbert import hilbert_data
 from quadbir.ideal_io import parse_ideal_text, read_ideal, serialize_ideal
+from quadbir.maps import HeavyComputation, solve_inverse
 from quadbir.polyring import PolyParseError
 from quadbir.varieties import grassmannian_plucker
 
@@ -60,6 +62,11 @@ def test_parse_error_carries_line_number():
     with pytest.raises(PolyParseError) as err:
         parse_ideal_text("ideal:\nx\n")
     assert "line 1" in str(err.value)
+    # a header name that no generator line could reach is refused
+    for header in ("ring x 1x over QQ", "ring x y^2 over QQ"):
+        with pytest.raises(PolyParseError) as err:
+            parse_ideal_text(header + "\nideal:\n1x - x\n")
+        assert err.value.line == 1
 
 
 def test_unknown_example_rejected():
@@ -141,6 +148,26 @@ def test_decided_singular_dim_keeps_its_provenance():
     [check] = ctx.checks
     assert (check.name, check.status, check.computed) == ("image_singular_dim", PASS, "1")
     assert check.provenance == "codimension-2 minor scheme in P^6"
+
+
+def test_minor_cap_reports_skipped_heavy():
+    # the same probe with a cap below the 21 minors is skipped, not decided
+    spec = ExampleSpec("quartic_fourfold", "singular locus probe", FULL, (),
+                       image="quartic_curve_image.ideal")
+    ctx = _Ctx(spec, StepBudget(400_000_000))
+    singular_dim(2, 10, 1, "codimension-2 minor scheme in P^6", 250)(ctx)
+    [check] = ctx.checks
+    assert (check.name, check.status) == ("image_singular_dim", SKIPPED_HEAVY)
+    assert check.expected == "21 Jacobian minors exceed the cap of 10"
+
+
+def test_inverse_unknown_cap_raises_before_solving(monkeypatch):
+    # a cubic inverse of the thirteen-quadric map has 5382 unknowns, past
+    # the cap; the refusal comes before any equation is built
+    ctx = _Ctx(CORPUS["line_times_quadric_section"], StepBudget())
+    monkeypatch.setattr(maps, "_monomial_rows", None)
+    with pytest.raises(HeavyComputation, match="^5382 unknowns in the inverse solve$"):
+        solve_inverse(ctx.map, 3)
 
 
 def test_quintic_scroll_image_lies_on_35_quadrics():

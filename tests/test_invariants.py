@@ -151,10 +151,14 @@ def test_quadric_fibration_solutions():
     assert structure_formulas(QUADRIC_FIBRATION, 8, 2, 4) == [{"d": 2, "Delta": 10}]
     # no integer solution away from the two listed gaps
     assert structure_formulas(QUADRIC_FIBRATION, 10, 4, 2) == []
+    # a given d pins the solution, as for the surface scroll
+    assert structure_formulas(QUADRIC_FIBRATION, 9, 3, 3, d=7) == []
+    assert structure_formulas(QUADRIC_FIBRATION, 9, 3, 3, d=3) == [{"d": 3, "Delta": 5}]
 
 
 def test_scroll_over_curve_unique_solution():
     assert structure_formulas(SCROLL_OVER_CURVE, 6, 0, 6) == [{"d": 2, "Delta": 14}]
+    assert structure_formulas(SCROLL_OVER_CURVE, 6, 0, 6, d=1) == []
     for a, lam, g in [(0, 12, 6), (1, 11, 5), (4, 8, 2), (5, 7, 1)]:
         assert structure_formulas(SCROLL_OVER_CURVE, lam, g, a) == []
 

@@ -212,3 +212,45 @@ def test_monomial_order_laws():
                 assert (key(a) > key(b)) == (key(ac) > key(bc))
             if a != one:
                 assert key(a) > key(one)
+
+
+def test_parser_pinned_on_every_short_string():
+    # Every string of up to four tokens, parsed or refused, hashed together:
+    # any change in what the parser accepts or in the value it reads shows.
+    import hashlib
+    import itertools
+
+    tokens = ["x", "y", "x2", "2", "1/2", "07", "3/0", "*", "^", "^2",
+              "+", "-", " ", "\t", "/", "("]
+    ring = Ring(["x", "y", "x2"])
+    digest = hashlib.sha256()
+    total = parsed = 0
+    for n in range(5):
+        for parts in itertools.product(tokens, repeat=n):
+            text = "".join(parts)
+            try:
+                out = format_poly(ring.parse(text))
+                parsed += 1
+            except PolyParseError:
+                out = "ERR"
+            total += 1
+            digest.update(f"{text!r}\t{out}\n".encode())
+    assert (total, parsed) == (69905, 5151)
+    assert digest.hexdigest() == (
+        "2468ed267975b2f37446c7dcececa309e96af39b35f697f2cc355e672f2c4f53"
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" " * 20000 + "@", "2" + " " * 20000 + "@", "x*" * 10000],
+    ids=["spaces", "coefficient-spaces", "dangling-star"],
+)
+def test_parser_refuses_long_lines_in_linear_time(text):
+    import time
+
+    ring = Ring(["x", "y"])
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError):
+        ring.parse(text)
+    assert time.perf_counter() - start < 1.0
