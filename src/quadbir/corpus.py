@@ -564,7 +564,7 @@ CORPUS: dict[str, ExampleSpec] = {
             (base(1, 5, 1), smooth(1), gap(0, "square Cremona: five quadrics"),
              rows((1, 4, 0, 5, 1, 3, 1)),
              _heavy("secant_quintic_hypersurface", "sum-and-difference elimination",
-                    _secant_is_quintic, 164_548)),
+                    _secant_is_quintic, 6_900)),
             base=elliptic_quintic_pfaffian,
         ),
         # the quartic curve case runs symbolically, its surface and threefold

@@ -39,12 +39,29 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"step budget exceeded after {steps} steps")
 
 
+class HilbertMismatch(RuntimeError):
+    """A Hilbert-driven run found more or fewer new leading monomials in a
+    degree than the Hilbert function it was given allows: that function
+    does not belong to the input."""
+
+    def __init__(self, degree: int, deficit: int):
+        super().__init__(
+            f"Hilbert function disagrees with the basis in degree {degree} "
+            f"(deficit {deficit})"
+        )
+
+
 class SaturationUncertified(RuntimeError):
     """Kept for importers; nothing raises it since saturation is exact."""
 
 
 class StepBudget:
-    """Mutable countdown shared across one logical computation."""
+    """Mutable countdown shared across one logical computation.
+
+    One step is one pair popped from the Buchberger queue, one input
+    generator, or one division step.  A pair that a criterion removed, or
+    that the Hilbert driver skips, still costs the step of its pop.
+    """
 
     __slots__ = ("limit", "used")
 
@@ -311,7 +328,12 @@ def _gm_partners(lm: int, leads: Sequence[int], P: _Packing) -> list[tuple[int, 
     ]
 
 
-def _buchberger_entries(polys: Iterable[dict], P: _Packing, budget: StepBudget) -> list[_Entry]:
+def _buchberger_entries(
+    polys: Iterable[dict],
+    P: _Packing,
+    budget: StepBudget,
+    hilbert: Sequence[int] | None = None,
+) -> list[_Entry]:
     """Gebauer-Moeller installation of Buchberger's algorithm.
 
     A pair record is one int: from the top, the degree of the lcm, the
@@ -319,6 +341,16 @@ def _buchberger_entries(polys: Iterable[dict], P: _Packing, budget: StepBudget) 
     degree, then order, then indices.  A pair the chain criterion removes
     has its dead bit set in place, which keeps the heap ordered, and is
     skipped when popped.
+
+    `hilbert`, for homogeneous input only, is the numerator N(t) of the
+    input ideal's Hilbert series N(t)/(1-t)^n.  Pairs then pop degree by
+    degree, and at the first live pair of degree d the deficit is the
+    number of degree-d monomials outside the current leads minus HF(d):
+    the leads of degree d the basis still lacks.  Each nonzero remainder
+    supplies one, and once none is missing every other pair of degree d
+    reduces to zero and is not reduced (Traverso, J. Symbolic Comput. 22,
+    1996).  A deficit that goes negative, or is left over when the degree
+    ends, raises `HilbertMismatch`.
     """
     entries: list[_Entry] = []
     G: list[_Entry] = []
@@ -371,12 +403,31 @@ def _buchberger_entries(polys: Iterable[dict], P: _Packing, budget: StepBudget) 
             entries.append(h)
             update(h)
 
+    driven = hilbert is not None
+    if driven:
+        from .hilbert import hilbert_series_numerator, series_coefficients
+
+        n = len(P.shifts)
+        hf = lambda numerator, d: series_coefficients(numerator, n, d)[d]
+    degree = deficit = 0
     while live:
         budget.tick()
         x = heappop(pairs)
         if x & 1:
             continue
         live -= 1
+        if driven:
+            d = x >> (pb + P.width)
+            if d != degree:
+                if deficit:
+                    raise HilbertMismatch(degree, deficit)
+                degree = d
+                outside = hilbert_series_numerator(list(map(P.unpack, leads)), n)
+                deficit = hf(outside, d) - hf(hilbert, d)
+            if deficit < 0:
+                raise HilbertMismatch(degree, deficit)
+            if not deficit:
+                continue
         f, g = entries[(x >> (ib + 1)) & low], entries[(x >> 1) & low]
         s = _spoly_int(f, g, (x >> pb) & mono, P)
         red = _reduce_int(s, G, leads, P, budget)
@@ -384,8 +435,11 @@ def _buchberger_entries(polys: Iterable[dict], P: _Packing, budget: StepBudget) 
             h = _Entry(red, len(entries), P)
             entries.append(h)
             update(h)
+            deficit -= 1
             if not h.lm:
                 break  # basis contains a unit
+    if driven and deficit:
+        raise HilbertMismatch(degree, deficit)
     return G
 
 
@@ -522,6 +576,13 @@ def buchberger(
     """Unique reduced Groebner basis (primitive integer, positive leads).
 
     Idempotent: running it on its own output returns the same basis.
+
+    Homogeneous generators under an elimination order take a Hilbert-driven
+    run (Traverso, "Hilbert functions and the Buchberger algorithm",
+    J. Symbolic Comput. 22, 1996): their degrevlex basis, charged to the
+    same budget, gives the Hilbert function, which is the same under every
+    order, and the elimination run skips the pairs it proves reduce to
+    zero.  Other input runs plain Buchberger.
     """
     if isinstance(ideal, Ideal):
         ring = ideal.ring
@@ -534,13 +595,19 @@ def buchberger(
     if not gens:
         return ()
     b = _budget(budget)
+    hilbert = None
+    if order.kind == "block" and all(g.is_homogeneous() for g in gens):
+        from .hilbert import hilbert_series_numerator
+
+        drl = buchberger(gens, DEGREVLEX, b)
+        hilbert = hilbert_series_numerator([g.lead_monomial(DEGREVLEX) for g in drl], ring.nvars)
     keyf = order.key()
     # stable sort by leading key; each input is packed only when the loop
     # reaches it, so no second copy of the inputs exists
     ordered = sorted(gens, key=lambda g: keyf(max(g.terms, key=keyf)))
 
     def run(P: _Packing) -> list[dict]:
-        G = _buchberger_entries((_to_int_terms(g, P) for g in ordered), P, b)
+        G = _buchberger_entries((_to_int_terms(g, P) for g in ordered), P, b, hilbert)
         return _reduced_basis(G, P, b)
 
     reduced = _widening(order, ring.nvars, max(g.degree() for g in gens), b, run)
@@ -598,7 +665,9 @@ def eliminate(
 ) -> Ideal:
     """Intersection of I with the subring omitting the first `drop` variables.
 
-    The ring must be ordered so that the variables to drop come first.
+    The ring must be ordered so that the variables to drop come first.  A
+    homogeneous I is eliminated by the Hilbert-driven run of `buchberger`,
+    whose step count includes the degrevlex basis that drives it.
     """
     if drop <= 0 or drop >= I.ring.nvars:
         raise ValueError("drop count must be between 1 and nvars-1")

@@ -48,9 +48,11 @@ def parse_ideal_text(text: str) -> Ideal:
             names = body.split()
             if not names:
                 raise PolyParseError("ring header lists no variables", lineno)
-            for name in names:
+            for k, name in enumerate(names):
                 if not VARIABLE.fullmatch(name):
                     raise PolyParseError(f"bad variable name {name!r}", lineno)
+                if name in names[:k]:
+                    raise PolyParseError(f"repeated variable name {name!r}", lineno)
             ring = Ring(names)
             continue
         if line == "ideal:":

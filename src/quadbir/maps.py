@@ -402,7 +402,13 @@ def solve_inverse(
 def secant_ideal(
     I: Ideal, budget: StepBudget | int | None = None
 ) -> Ideal:
-    """Ideal of the secant variety of V(I), eliminating n helper variables.
+    """Ideal of the secant variety of V(I): the first n variables, t,
+    eliminated from `sum_and_difference_ideal(I)`."""
+    return eliminate(sum_and_difference_ideal(I), I.ring.nvars, budget)
+
+
+def sum_and_difference_ideal(I: Ideal) -> Ideal:
+    """The ideal in QQ[t, x] whose elimination of t is the secant ideal.
 
     The secant variety is the closure of the points u + w with u, w in
     V(I): the elimination of u and w from I(u) + I(w) + (x - u - w).  Here
@@ -427,4 +433,4 @@ def secant_ideal(
     for g in I.generators:
         a, b = g.substitute(plus), g.substitute(minus)
         gens += [a + b, a - b]
-    return eliminate(Ideal(big, gens), n, budget)
+    return Ideal(big, gens)

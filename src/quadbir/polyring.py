@@ -9,6 +9,7 @@ pure and return canonical results, so polynomial identity testing is exact.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from operator import le
 from typing import Callable, Iterable, Sequence
@@ -419,6 +420,18 @@ _FACTOR = re.compile(
 )
 
 
+def _digits(text: str, line: int | None) -> int:
+    """The integer a run of digits spells; one longer than Python's
+    integer-string limit is a parse error, not a bare ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PolyParseError(
+            f"a number of {len(text)} digits is over the limit of "
+            f"{sys.get_int_max_str_digits()}", line
+        ) from None
+
+
 def parse_poly(ring: Ring, text: str, line: int | None = None) -> Poly:
     if not text.strip():
         raise PolyParseError("empty polynomial", line)
@@ -439,15 +452,16 @@ def parse_poly(ring: Ring, text: str, line: int | None = None) -> Poly:
         for f in factors:
             number, name, power = f.group("number", "name", "power")
             if number:
-                try:
-                    coeff *= Fraction(number)
-                except ZeroDivisionError:
-                    raise PolyParseError(f"zero denominator in {number!r}", line) from None
+                num, _, den = number.partition("/")
+                den = _digits(den or "1", line)
+                if not den:
+                    raise PolyParseError(f"zero denominator in {number!r}", line)
+                coeff *= Fraction(_digits(num, line), den)
                 continue
             j = ring._index.get(name)
             if j is None:
                 raise PolyParseError(f"unknown variable {name!r}", line)
-            exps[j] += int(power or 1)
+            exps[j] += _digits(power or "1", line)
         e = tuple(exps)
         s = terms.get(e, Fraction(0)) + coeff
         if s:

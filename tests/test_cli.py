@@ -114,8 +114,9 @@ def test_verify_command_and_exit_codes(capsys):
 
 
 def test_verify_all_is_deterministic(capsys):
-    # 60,000 steps cover every example (the largest uses 3,842), so the
-    # only SKIPPED_HEAVY checks are those behind the heavy gate; two runs
+    # 60,000 steps cover every example (the largest, with its secant
+    # check, uses 7,979), so the only SKIPPED_HEAVY checks are the heavy
+    # ones that cost more; two runs
     # must produce byte-identical canonical reports, equal to the golden
     # report kept in tests/data
     argv = ["--format", "json", "--budget", "60000", "verify", "--all"]

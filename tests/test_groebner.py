@@ -8,6 +8,7 @@ import pytest
 
 from quadbir.groebner import (
     BudgetExceeded,
+    HilbertMismatch,
     Ideal,
     StepBudget,
     _Entry,
@@ -29,10 +30,11 @@ from quadbir.groebner import (
     saturate,
     saturate_irrelevant,
 )
-from quadbir.hilbert import hilbert_data
+from quadbir.hilbert import hilbert_data, hilbert_series_numerator
 from quadbir.ideal_io import read_ideal
+from quadbir.maps import RationalMap, image_ideal, map_from_ideal
 from quadbir.polyring import DEGREVLEX, LEX, MonomialOrder, Poly, Ring, _drl_key
-from quadbir.varieties import elliptic_quintic_pfaffian
+from quadbir.varieties import elliptic_quintic_pfaffian, rational_normal_curve
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "quadbir", "data", "ideals")
 
@@ -403,6 +405,54 @@ def test_buchberger_step_counts_pinned(make, order, steps):
     budget = StepBudget(10**9)
     buchberger(make(), order, budget)
     assert budget.used == steps
+
+
+@pytest.mark.parametrize(
+    "numerator, raises",
+    [((1, 0, -3, 2), False), ((1,), True), ((1, 0, -3, 1), True), ((1, 0, -4, 3), True)],
+    ids=["right", "too_large", "too_small_in_degree_3", "too_small_in_degree_2"],
+)
+def test_hilbert_driven_run_rejects_a_wrong_numerator(twisted_cubic, numerator, raises):
+    # 1 - 3t^2 + 2t^3 is the twisted cubic's numerator; a Hilbert function
+    # too large anywhere, or too small in a degree with pairs, raises
+    # instead of returning a basis
+    gb = buchberger(twisted_cubic, DEGREVLEX)
+    assert hilbert_series_numerator([g.lead_monomial() for g in gb], 4) == (1, 0, -3, 2)
+    order = MonomialOrder.elimination(1)
+    P = _Packing(order, 4, 8)
+
+    def run(hilbert):
+        polys = [_to_int_terms(g, P) for g in twisted_cubic.generators]
+        budget = StepBudget(10**6)
+        return _reduced_basis(_buchberger_entries(polys, P, budget, hilbert), P, budget)
+
+    if raises:
+        with pytest.raises(HilbertMismatch):
+            run(numerator)
+    else:
+        assert run(numerator) == run(None)
+
+
+def test_inhomogeneous_eliminations_keep_their_step_counts():
+    # intersect and image_ideal eliminate inhomogeneous ideals, which the
+    # Hilbert function does not drive, so the plain run's counts hold
+    base, comp, image = (read_ideal(os.path.join(DATA, f"quartic_curve_{name}.ideal"))
+                         for name in ("base", "map", "image"))
+    quartic_map = RationalMap(base.ring, image.ring, comp.generators)
+    ring = Ring(["x", "y", "z"])
+    x, y, _ = ring.gens()
+    cubic = _twisted_cubic()
+    squares = Ideal(cubic.ring, [v * v for v in cubic.ring.gens()])
+    runs = [
+        (lambda b: intersect(Ideal(ring, [x * x, y]), Ideal(ring, [x, y * y]), b), 15),
+        (lambda b: intersect(cubic, squares, b), 141),
+        (lambda b: image_ideal(quartic_map, b), 733),
+        (lambda b: image_ideal(map_from_ideal(rational_normal_curve(4)), b), 2_243),
+    ]
+    for run, steps in runs:
+        budget = StepBudget(10**8)
+        run(budget)
+        assert budget.used == steps
 
 
 def _primitive_set(polys, key):

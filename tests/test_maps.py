@@ -2,10 +2,22 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from quadbir.groebner import Ideal, StepBudget, eliminate, ideal_equal, membership
+from quadbir.groebner import (
+    Ideal,
+    StepBudget,
+    _buchberger_entries,
+    _reduced_basis,
+    _to_int_terms,
+    _widening,
+    buchberger,
+    eliminate,
+    ideal_equal,
+    membership,
+)
 from quadbir.hilbert import graded_piece, hilbert_data
 from quadbir.ideal_io import read_ideal
 from quadbir.maps import (
@@ -27,8 +39,9 @@ from quadbir.maps import (
     singular_locus,
     smooth_certificate,
     solve_inverse,
+    sum_and_difference_ideal,
 )
-from quadbir.polyring import Ring
+from quadbir.polyring import MonomialOrder, Poly, Ring
 from quadbir.varieties import elliptic_quintic_pfaffian, in_hyperplane, rational_normal_curve
 
 DATA = os.path.join(
@@ -216,16 +229,21 @@ def test_secant_of_two_skew_lines_fills_space():
     assert sec.is_zero()
 
 
-def _two_copy_secant(I):
-    """The secant ideal as the elimination of u and w from
-    I(u) + I(w) + (x - u - w), built here independently of secant_ideal."""
+def _two_copy_ideal(I):
+    """I(u) + I(w) + (x - u - w) in QQ[u, w, x], built here independently
+    of secant_ideal."""
     n = I.ring.nvars
     big = Ring([f"u{i}" for i in range(n)] + [f"w{i}" for i in range(n)] + list(I.ring.variables))
     z = big.gens()
     u, w, x = z[:n], z[n : 2 * n], z[2 * n :]
     gens = [g.substitute(u) for g in I.generators] + [g.substitute(w) for g in I.generators]
     gens += [x[i] - u[i] - w[i] for i in range(n)]
-    return eliminate(Ideal(big, gens), 2 * n)
+    return Ideal(big, gens)
+
+
+def _two_copy_secant(I):
+    """The secant ideal as the elimination of u and w from the two-copy ideal."""
+    return eliminate(_two_copy_ideal(I), 2 * I.ring.nvars)
 
 
 def _hankel_det(ring):
@@ -248,7 +266,7 @@ def test_secant_of_rational_normal_quartic_is_the_hankel_determinant():
     ]
     assert sec.generators[0] == -_hankel_det(I.ring)
     # the exact step count: a change in the elimination shows here
-    assert budget.used == 2_176
+    assert budget.used == 2_001
 
 
 def test_secant_equals_two_copy_elimination():
@@ -266,6 +284,42 @@ def test_secant_equals_two_copy_elimination():
     assert [str(g) for g in secant_ideal(inhomogeneous).generators] == [
         "a^2*c - b*c - 4*a + 2*c"
     ]
+
+
+def _undriven_basis(J, order, budget):
+    """J's reduced basis under the order from the plain pair loop, which no
+    Hilbert function drives."""
+    key = order.key()
+    ordered = sorted(J.generators, key=lambda g: key(g.lead_monomial(order)))
+
+    def run(P):
+        G = _buchberger_entries([_to_int_terms(g, P) for g in ordered], P, budget)
+        return _reduced_basis(G, P, budget)
+
+    degree = max(g.degree() for g in J.generators)
+    reduced = _widening(order, J.ring.nvars, degree, budget, run)
+    return tuple(Poly(J.ring, {e: Fraction(v) for e, v in t.items()}) for t in reduced)
+
+
+@pytest.mark.parametrize(
+    "make, drop, steps",
+    [
+        (lambda: sum_and_difference_ideal(rational_normal_curve(3)), 4, (308, 234)),
+        (lambda: sum_and_difference_ideal(rational_normal_curve(4)), 5, (2_176, 2_001)),
+        (lambda: sum_and_difference_ideal(elliptic_quintic_pfaffian()), 5, (164_548, 6_900)),
+        (lambda: _two_copy_ideal(rational_normal_curve(4)), 10, (3_426, 2_791)),
+    ],
+    ids=["twisted_cubic", "rational_normal_quartic", "elliptic_quintic", "two_copy_quartic"],
+)
+def test_hilbert_driven_elimination_matches_the_plain_run(make, drop, steps):
+    # homogeneous input under an elimination order takes the Hilbert-driven
+    # run, degrevlex pass included in its steps; the full elimination basis
+    # is the one the plain pair loop finds
+    J = make()
+    order = MonomialOrder.elimination(drop)
+    plain, driven = StepBudget(10**9), StepBudget(10**9)
+    assert buchberger(J, order, driven) == _undriven_basis(J, order, plain)
+    assert (plain.used, driven.used) == steps
 
 
 def test_secant_helper_names_avoid_the_ring_variables():
