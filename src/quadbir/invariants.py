@@ -2,8 +2,9 @@
 
 Pure integer/rational functions over the invariant tuple
 (r, n, a, lambda, g, chi, d, Delta, c, delta, eps): Hilbert-polynomial
-identities per base-locus dimension, Segre/Chern degree displays, the
-blow-up pushforward degrees, double-point residuals, structure-specific
+identities per base-locus dimension, the Segre-Chern expansion and the
+blow-up pushforward degrees (the paper's Segre/Chern degree displays are
+solved from these two), double-point residuals, structure-specific
 (d, Delta) systems, coindex/secant-defect bookkeeping, ideal-generation
 thresholds, Castelnuovo's genus bound, and the dimension-four relations.
 
@@ -58,7 +59,7 @@ def hp_relations(
 
     r=1 returns lam and g from (n, a, eps); r=2 returns chi and lam from g;
     r=3 returns chi from (lam, g); r=4 returns the full Hilbert polynomial
-    coefficient vector from (lam, g, chi, a).
+    coefficient vector from (lam, g, chi, a), pinned for n=10, eps=0 only.
     """
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
@@ -80,6 +81,8 @@ def hp_relations(
     if r == 4:
         if None in (lam, g, chi):
             raise ValueError("r=4 needs lam, g, chi")
+        if (n, eps) != (10, 0):
+            raise ValueError("r=4 is pinned for n=10, eps=0 only")
         return {"hp": hilbert_poly_r4(lam, g, chi, a)}
     raise ValueError(f"unsupported base-locus dimension r={r}")
 
@@ -104,7 +107,13 @@ def hilbert_poly_r4(lam: int, g: int, chi: int, a: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Segre and Chern degree displays
+# Segre and Chern degrees
+
+def _adjunction_c1(r: int, lam: int, g: int) -> int:
+    """c_1 . H^(r-1) of an r-dimensional base locus of degree lam and
+    sectional genus g, by adjunction on its curve section."""
+    return (r - 1) * lam - 2 * g + 2
+
 
 def segre_chern(
     r: int,
@@ -118,113 +127,55 @@ def segre_chern(
 
     r=1 also solves for d and Delta; r=2 yields the product d*Delta (plus
     c2, s2 once Delta is known); r=3 needs d and Delta for the j=2,3 terms.
+
+    Each of the paper's displays follows from the Segre-Chern expansion
+    `normal_segre_from_chern` and the blow-up degrees `pushforward_degrees`:
+    c_1 comes from adjunction; d*Delta is affine in s_(r-1) and Delta in
+    s_r, each with coefficient -1, so each target fixes its s_j, and s_j in
+    turn fixes c_j (coefficient +1).
     """
-    two_n = 2**n
+    if r not in (1, 2, 3):
+        raise ValueError(f"unsupported base-locus dimension r={r}")
+    if not r < n:
+        raise ValueError("need r < n")
+    c = [_adjunction_c1(r, lam, g)]
+    s = list(normal_segre_from_chern(r, n, lam, c))
     if r == 1:
-        c1 = 2 - 2 * g
-        s1 = (-n - 1) * lam - 2 * g + 2
-        den = (2 * n - 2) * lam - 2 * two_n - 4 * g + 4
-        derived: dict = {}
-        if den == 0:
+        deg_delta, d_delta = pushforward_degrees(1, n, lam, s)
+        if deg_delta == 0:
             raise Infeasible("inverse-degree denominator vanishes")
-        d_f = Fraction(2 * lam - two_n, den)
-        derived["d"] = _as_int(d_f, "d")
-        derived["Delta"] = (1 - n) * lam + two_n + 2 * g - 2
-        return ClassProfile(1, (c1,), (s1,)), derived
+        derived = {"d": _as_int(Fraction(d_delta, deg_delta), "d"), "Delta": deg_delta}
+        return ClassProfile(1, tuple(c), tuple(s)), derived
     if r == 2:
-        c1 = lam - 2 * g + 2
-        s1 = -n * lam - 2 * g + 2
-        d_delta = (2 - n) * lam + two_n // 2 + 2 * g - 2
-        derived = {"dDelta": d_delta}
-        cs: tuple = (c1,)
-        ss: tuple = (s1,)
-        if Delta is not None:
-            c2 = -Fraction(
-                (n * n - 3 * n) * lam
-                - 2 * two_n
-                + (4 - 4 * g) * n
-                + 4 * g
-                + 2 * Delta
-                - 4,
-                2,
-            )
-            s2 = 2 * n * lam + two_n + (4 * g - 4) * n - Delta
-            cs = (c1, _as_int(c2, "c2"))
-            ss = (s1, s2)
-        return ClassProfile(2, cs, ss), derived
-    if r == 3:
-        c1 = _threefold_c1(lam, g)
-        s1 = (1 - n) * lam - 2 * g + 2
-        if d is None or Delta is None:
-            return ClassProfile(3, (c1,), (s1,)), {}
-        dd = d * Delta
-        c2 = -Fraction(
-            (n * n - 5 * n + 2) * lam
-            - two_n
-            + (4 - 4 * g) * n
-            + 12 * g
-            + 2 * dd
-            - 12,
-            2,
-        )
-        c3 = Fraction(
-            (2 * n**3 - 12 * n * n + 22 * n - 12) * lam
-            + 9 * two_n
-            + n * (-3 * two_n + 18 * g + 6 * dd - 18)
-            + (6 - 6 * g) * n * n
-            - 24 * g
-            + (-6 * d - 6) * Delta
-            + 24,
-            6,
-        )
-        s2 = Fraction(
-            (4 * n - 4) * lam
-            + two_n
-            + (8 * g - 8) * n
-            - 8 * g
-            - 2 * dd
-            + 8,
-            2,
-        )
-        s3 = Fraction(
-            (2 * n**3 - 12 * n * n + 10 * n) * lam
-            + 3 * two_n
-            + n * (-3 * two_n + 12 * g + 6 * dd - 12)
-            + (12 - 12 * g) * n * n
-            - 3 * Delta,
-            3,
-        )
-        profile = ClassProfile(
-            3,
-            (c1, _as_int(c2, "c2"), _as_int(c3, "c3")),
-            (s1, _as_int(s2, "s2"), _as_int(s3, "s3")),
-        )
-        return profile, {"dDelta": dd}
-    raise ValueError(f"unsupported base-locus dimension r={r}")
+        derived = {"dDelta": pushforward_degrees(2, n, lam, s + [0])[1]}  # s_2 does not enter
+    elif d is None or Delta is None:
+        return ClassProfile(3, tuple(c), tuple(s)), {}
+    else:
+        derived = {"dDelta": d * Delta}
+    if Delta is not None:
+        # r=3 solves s_2 from d*Delta, then both r solve s_r from Delta
+        for which, target in ((1, derived["dDelta"]), (0, Delta))[3 - r:]:
+            s.append(pushforward_degrees(r, n, lam, s + [0] * (r - len(s)))[which] - target)
+            c.append(s[-1] - normal_segre_from_chern(r, n, lam, c + [0])[-1])
+    return ClassProfile(r, tuple(c), tuple(s)), derived
 
 
 def normal_segre_from_chern(
     r: int, n: int, lam: int, c: Sequence[int]
 ) -> tuple[int, ...]:
-    """Normal-bundle Segre degrees from tangent Chern degrees (r <= 3).
+    """Normal-bundle Segre degrees s_1..s_k from tangent Chern degrees
+    c_1..c_k (k <= r <= 3).
 
     Expands s(N) = c(T_ambient|_B) / c(T_B) degree by degree:
-        s_1 = -lam (n+1) + c_1
-        s_2 =  lam C(n+2, 2) - c_1 (n+1) + c_2
-        s_3 = -lam C(n+3, 3) + c_1 C(n+2, 2) - c_2 (n+1) + c_3
+        s_j = sum_{i <= j} (-1)^(j-i) C(n+j-i, j-i) c_i,   c_0 = lam.
     """
-    if len(c) != r or r > 3:
-        raise ValueError("need c_1..c_r with r <= 3")
-    out = []
-    if r >= 1:
-        out.append(-lam * (n + 1) + c[0])
-    if r >= 2:
-        out.append(lam * comb(n + 2, 2) - c[0] * (n + 1) + c[1])
-    if r >= 3:
-        out.append(
-            -lam * comb(n + 3, 3) + c[0] * comb(n + 2, 2) - c[1] * (n + 1) + c[2]
-        )
-    return tuple(out)
+    if not len(c) <= r <= 3:
+        raise ValueError("need c_1..c_k with k <= r <= 3")
+    cs = (lam, *c)
+    return tuple(
+        sum((-1) ** (j - i) * comb(n + j - i, j - i) * cs[i] for i in range(j + 1))
+        for j in range(1, len(cs))
+    )
 
 
 def pushforward_degrees(
@@ -247,9 +198,7 @@ def pushforward_degrees(
         raise ValueError("need s_1..s_r")
     if not r < n:
         raise ValueError("need r < n")
-    svals = {0: lam}
-    for j, v in enumerate(s, start=1):
-        svals[j] = v
+    svals = (lam, *s)
     deg_delta = 2**n
     for j in range(0, r + 1):
         deg_delta -= comb(n, j) * 2**j * svals[r - j]
@@ -259,18 +208,13 @@ def pushforward_degrees(
     return deg_delta, d_delta
 
 
-def _threefold_c1(lam: int, g: int) -> int:
-    """c_1 . H^2 of a threefold base locus, by adjunction on its curve section."""
-    return 2 * lam - 2 * g + 2
-
-
 def threefold_pushforward(
     n: int, lam: int, g: int, c2h: int, c3: int
 ) -> tuple[tuple[int, ...], int, int]:
     """Normal Segre degrees s and the pushforward degrees (Delta, d*Delta) of
     a threefold base locus in P^n of degree lam and sectional genus g with
     Chern degrees c2.H and c3."""
-    s = normal_segre_from_chern(3, n, lam, (_threefold_c1(lam, g), c2h, c3))
+    s = normal_segre_from_chern(3, n, lam, (_adjunction_c1(3, lam, g), c2h, c3))
     return (s, *pushforward_degrees(3, n, lam, s))
 
 

@@ -107,6 +107,28 @@ def test_invariants_command(capsys):
     assert "'lam': 5" in out and "'g': 1" in out
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # n <= r: refused before any arithmetic (a negative n once reached
+        # Fraction as a float and raised TypeError)
+        (["--r", "1", "--n", "-1", "--lambda", "1", "--g", "0"],
+         "segre_chern: not determined: need r < n"),
+        (["--r", "3", "--n", "2", "--lambda", "1", "--g", "0", "--d", "1", "--delta", "1"],
+         "segre_chern: not determined: need r < n"),
+        # the r=4 Hilbert polynomial is pinned in P^10 with eps = 0 only
+        (["--r", "4", "--n", "9", "--eps", "1", "--lambda", "10", "--g", "3",
+          "--chi", "1", "--a", "7"],
+         "hilbert_relations: not determined: r=4 is pinned for n=10, eps=0 only"),
+    ],
+)
+def test_invariants_refusals(capsys, argv, line):
+    code, out, _ = run(capsys, "invariants", *argv)
+    assert code == 0
+    assert line in out.splitlines()
+    assert "chern_degrees" not in out
+
+
 def test_verify_command_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "quadric_slices")
     assert code == 0

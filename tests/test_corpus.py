@@ -1,10 +1,12 @@
+import dataclasses
 import glob
 import os
+import shutil
 import sys
 
 import pytest
 
-from quadbir import maps
+from quadbir import corpus, maps
 from quadbir.corpus import (
     CORPUS,
     FAIL,
@@ -15,11 +17,14 @@ from quadbir.corpus import (
     SKIPPED_HEAVY,
     ExampleSpec,
     _Ctx,
+    base,
+    recorded,
     singular_dim,
     verify_example,
 )
 from quadbir.groebner import StepBudget, ideal_equal
 from quadbir.hilbert import hilbert_data
+from quadbir.groebner import Ideal
 from quadbir.ideal_io import parse_ideal_text, read_ideal, serialize_ideal
 from quadbir.maps import HeavyComputation, solve_inverse
 from quadbir.polyring import PolyParseError
@@ -191,3 +196,33 @@ def test_quintic_scroll_image_lies_on_35_quadrics():
     assert check.status == PASS
     assert check.expected == check.computed == "35"
     assert report.status == PASS
+
+
+@pytest.mark.parametrize("broken", ["swapped", "on_the_image"])
+def test_failing_recorded_inverse_is_a_fail_not_a_crash(tmp_path, monkeypatch, broken):
+    # the thirteen-quadric example with a broken recorded inverse: two of
+    # its components swapped (the composite is not the identity), or every
+    # component an image generator (the composite vanishes identically)
+    name = "line_times_quadric_section"
+    spec = CORPUS[name]
+    for f in (spec.base, spec.image):
+        shutil.copy(os.path.join(DATA, f), tmp_path)
+    comps = list(read_ideal(os.path.join(DATA, spec.inverse)).generators)
+    image = read_ideal(os.path.join(DATA, spec.image))
+    if broken == "swapped":
+        comps[0], comps[1] = comps[1], comps[0]
+    else:
+        comps = [image.generators[0]] * len(comps)
+    (tmp_path / spec.inverse).write_text(serialize_ideal(Ideal(image.ring, comps)))
+    steps = (base(3, 8, 2, 1), recorded("recorded image", "broken inverse", (2, 2)))
+    monkeypatch.setattr(corpus, "_DATA", str(tmp_path))
+    monkeypatch.setitem(CORPUS, name, dataclasses.replace(spec, steps=steps))
+    report = verify_example(name)
+    # the finished checks survive, and the type is not asked of a map
+    # whose inverse failed
+    assert report.status == FAIL
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("base_locus_dim_deg_genus_chi", PASS),
+        ("forward_annihilation", PASS),
+        ("composition_identity", FAIL),
+    ]

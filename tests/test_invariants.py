@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -59,6 +61,16 @@ def test_hp_fourfold_polynomial_values():
         assert poly_eval(hp, 0) == chi
 
 
+def test_hp_fourfold_is_pinned_to_p10():
+    # the r=4 polynomial is pinned at 11 and 55 - a, which holds in P^10
+    # with eps = 0 only; any other (n, eps) is refused, not answered
+    hp = hp_relations(4, 10, 7, 0, lam=10, g=3, chi=1)
+    assert hp == {"hp": hilbert_poly_r4(10, 3, 1, 7)}
+    for n, eps in ((9, 1), (9, 0), (10, 1), (11, 0)):
+        with pytest.raises(ValueError, match="pinned for n=10, eps=0"):
+            hp_relations(4, n, 7, eps, lam=10, g=3, chi=1)
+
+
 def test_hp_infeasible_is_flagged():
     with pytest.raises(Infeasible):
         hp_relations(2, 6, 0, 0, g=0)  # quarter-integer chi
@@ -90,11 +102,86 @@ def test_segre_chern_threefold_triples():
         assert prof.s == expected
 
 
-def test_normal_segre_from_chern_matches_display():
-    # Chern route and closed-form route agree on the quadric-surface scroll
-    prof, _ = segre_chern(3, 8, 10, 4, 3, 4)
-    s = normal_segre_from_chern(3, 8, 10, prof.c)
-    assert s == prof.s
+def _displays(r, n, lam, g, d=None, Delta=None):
+    """The paper's displayed closed forms, transcribed term for term: for
+    r=1 the class profile with d (None when its denominator vanishes) and
+    Delta; for r=2 the profile with d*Delta, and c2, s2 once Delta is
+    given; for r=3 c2, c3, s2, s3 from d and Delta."""
+    t = 2**n
+    if r == 1:
+        den = (2 * n - 2) * lam - 2 * t - 4 * g + 4
+        d_f = Fraction(2 * lam - t, den) if den else None
+        c, s = [2 - 2 * g], [(-n - 1) * lam - 2 * g + 2]
+        return c, s, {"d": d_f, "Delta": (1 - n) * lam + t + 2 * g - 2}
+    if r == 2:
+        c, s = [lam - 2 * g + 2], [-n * lam - 2 * g + 2]
+        derived = {"dDelta": (2 - n) * lam + t // 2 + 2 * g - 2}
+        if Delta is not None:
+            c.append(-Fraction(
+                (n * n - 3 * n) * lam - 2 * t + (4 - 4 * g) * n + 4 * g + 2 * Delta - 4, 2
+            ))
+            s.append(2 * n * lam + t + (4 * g - 4) * n - Delta)
+        return c, s, derived
+    if d is None or Delta is None:
+        return [2 * lam - 2 * g + 2], [(1 - n) * lam - 2 * g + 2], {}
+    dd = d * Delta
+    c = [
+        2 * lam - 2 * g + 2,
+        -Fraction((n * n - 5 * n + 2) * lam - t + (4 - 4 * g) * n + 12 * g + 2 * dd - 12, 2),
+        Fraction(
+            (2 * n**3 - 12 * n * n + 22 * n - 12) * lam + 9 * t
+            + n * (-3 * t + 18 * g + 6 * dd - 18) + (6 - 6 * g) * n * n
+            - 24 * g + (-6 * d - 6) * Delta + 24,
+            6,
+        ),
+    ]
+    s = [
+        (1 - n) * lam - 2 * g + 2,
+        Fraction((4 * n - 4) * lam + t + (8 * g - 8) * n - 8 * g - 2 * dd + 8, 2),
+        Fraction(
+            (2 * n**3 - 12 * n * n + 10 * n) * lam + 3 * t
+            + n * (-3 * t + 12 * g + 6 * dd - 12) + (12 - 12 * g) * n * n - 3 * Delta,
+            3,
+        ),
+    ]
+    return c, s, {"dDelta": dd}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_segre_chern_matches_the_displays(r):
+    # segre_chern solves the Segre-Chern expansion and the pushforward;
+    # the paper's displays, kept here as written, check it independently
+    infeasible = 0
+    for n in range(r + 1, 13):
+        dds = [(None, None)] if r == 1 else itertools.product(
+            (None, 1, 2, 4) if r == 3 else (None,), (None, 1, 5, 19, 29)
+        )
+        for lam, g, (d, Delta) in itertools.product(range(-2, 15), range(0, 9), list(dds)):
+            c, s, derived = _displays(r, n, lam, g, d, Delta)
+            if r == 1 and (derived["d"] is None or derived["d"].denominator != 1):
+                with pytest.raises(Infeasible):
+                    segre_chern(r, n, lam, g, d, Delta)
+                infeasible += 1
+                continue
+            prof, got = segre_chern(r, n, lam, g, d, Delta)
+            assert (prof.r, prof.c, prof.s, got) == (r, tuple(c), tuple(s), derived)
+    assert infeasible or r > 1
+
+
+@pytest.mark.parametrize("r, n", [(1, 1), (1, -1), (2, 2), (3, 2)])
+def test_segre_chern_needs_r_below_n(r, n):
+    with pytest.raises(ValueError, match="need r < n"):
+        segre_chern(r, n, 1, 0, 1, 1)
+
+
+def test_normal_segre_from_chern_takes_a_prefix():
+    # c_1..c_k for k <= r gives s_1..s_k, the first k of the full expansion
+    full = normal_segre_from_chern(3, 8, 10, (12, 15, 6))
+    assert full == (-78, 357, -1239)
+    assert normal_segre_from_chern(3, 8, 10, (12,)) == full[:1]
+    assert normal_segre_from_chern(3, 8, 10, (12, 15)) == full[:2]
+    with pytest.raises(ValueError):
+        normal_segre_from_chern(2, 8, 10, (12, 15, 6))
 
 
 # --- pushforward coefficient gate -------------------------------------------
