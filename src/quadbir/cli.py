@@ -271,11 +271,11 @@ def cmd_invariants(args) -> int:
     except (Infeasible, ValueError) as e:
         out["hilbert_relations"] = f"not determined: {e}"
     if args.d is not None:
-        c, delta, r_prime, deg_sec = coindex_delta(args.r, args.n, args.d)
-        out["coindex"] = c
-        out["secant_defect"] = delta
-        out["inverse_base_dim"] = r_prime
-        out["secant_degree"] = deg_sec
+        try:
+            names = ("coindex", "secant_defect", "inverse_base_dim", "secant_degree")
+            out.update(zip(names, coindex_delta(args.r, args.n, args.d)))
+        except ValueError as e:
+            out["coindex"] = f"not determined: {e}"
     if args.lam is not None and args.g is not None:
         try:
             prof, derived = segre_chern(

@@ -695,7 +695,7 @@ CORPUS: dict[str, ExampleSpec] = {
             (_saturation_fixed_point, base(3, 8, 2, 1), gap(4), smooth(3, "per-chart Jacobians"),
              recorded("six recorded image generators", "recorded inverse", (2, 2)),
              image(8, 10),
-             singular_dim(4, 12000, 3, "codimension-4 minor scheme in P^12", 63_584),
+             singular_dim(4, 12000, 3, "codimension-4 minor scheme in P^12", 55_270),
              rows((3, 8, 4, 8, 2, 2, 10))),
             base="line_times_quadric_base.ideal",
             image="line_times_quadric_image.ideal",
@@ -708,8 +708,8 @@ CORPUS: dict[str, ExampleSpec] = {
             (base(3, 7, 1, 1), gap(5), smooth(3), _del_pezzo_lift_certificate,
              recorded("recorded image generators (six quadrics and one cubic)",
                       "recorded inverse representative"),
-             # its 1,589,449 steps understate it: the integer echelon of
-             # its 39,235 minors, 80 to 90 s, takes no steps; the declared
+             # its 1,039,792 steps understate it: the reduced echelon of
+             # its 39,235 minors, 100 to 115 s, takes no steps; the declared
              # cost keeps it out of every run with fewer than 30,000,000
              # steps left until that echelon and its Buchberger run are fast
              singular_dim(5, 50000, 4, "codimension-5 minor scheme in P^13", 30_000_000)),

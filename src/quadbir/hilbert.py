@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import factorial
 from operator import and_, lshift, sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .groebner import Ideal, StepBudget, _budget
-from .linalg import rref
+from .linalg import _back_substitute, echelon
 from .polyring import DEGREVLEX, MonomialOrder, Poly, Ring, format_poly, mono_deg
 
 Exponent = tuple
@@ -195,12 +196,7 @@ def _binomial_poly(shift: int, k: int) -> tuple[Fraction, ...]:
             nxt[j] += a * c
             nxt[j + 1] += a
         coeffs = nxt
-    if k:
-        from math import factorial
-
-        f = Fraction(1, factorial(k))
-        coeffs = [a * f for a in coeffs]
-    return tuple(coeffs)
+    return tuple(a / factorial(k) for a in coeffs)
 
 
 def poly_eval(coeffs: Sequence[Fraction], t) -> Fraction:
@@ -297,23 +293,29 @@ def hilbert_data(
 
 
 def graded_piece(I: Ideal, e: int) -> tuple[int, list[Poly]]:
-    """Dimension and the reduced echelon basis of the degree-e piece of a
-    homogeneous I, which the degree-e multiples of its generators span."""
+    """Dimension and the `_span_basis` of the degree-e piece of a homogeneous
+    I, which the degree-e multiples of its generators span."""
     if not I.is_homogeneous():
         raise ValueError("graded piece needs a homogeneous ideal")
-    ring = I.ring
-    nvars = ring.nvars
-    monos = _degree_monomials(nvars, e)
-    col = {m: i for i, m in enumerate(monos)}
-    rows = [
-        {col[tuple(x + y for x, y in zip(shift, ge))]: c for ge, c in g.terms.items()}
+    rows = (
+        {tuple(x + y for x, y in zip(shift, ge)): c for ge, c in g.terms.items()}
         for g in I.generators
         if g.degree() <= e
-        for shift in _degree_monomials(nvars, e - g.degree())
-    ]
-    echelon, _ = rref(rows)
-    basis = [Poly(ring, {monos[j]: c for j, c in row.items()}) for row in echelon]
+        for shift in _degree_monomials(I.ring.nvars, e - g.degree())
+    )
+    basis = _span_basis(I.ring, rows)
     return len(basis), basis
+
+
+def _span_basis(ring: Ring, terms: Iterable[dict]) -> list[Poly]:
+    """The reduced echelon basis of the QQ-span of a stream of term dicts,
+    leading monomial first: on columns keyed (-degree, reversed exponents),
+    the column order of F4 (Faugere, J. Pure Appl. Algebra 139, 1999), each
+    pivot is its row's degrevlex lead, so every basis polynomial is monic
+    and its lead occurs in no other.  The stream passes through `echelon`
+    once, and each reduced row is released as its polynomial is made."""
+    rows = _back_substitute(echelon({(-sum(m), m[::-1]): c for m, c in t.items()} for t in terms))
+    return [Poly(ring, {m[::-1]: c for (_, m), c in row.items()}) for row in rows]
 
 
 def _degree_monomials(nvars: int, degree: int) -> list[Exponent]:

@@ -63,6 +63,8 @@ def hp_relations(
     """
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
+    if not r < n:
+        raise ValueError("need r < n")
     if r == 1:
         lam_f = Fraction(n * n - n + 2 * eps - 2 * a - 2, 2)
         g_f = Fraction(n * n - 3 * n + 4 * eps - 2 * a - 2, 2)
@@ -127,6 +129,8 @@ def segre_chern(
 
     r=1 also solves for d and Delta; r=2 yields the product d*Delta (plus
     c2, s2 once Delta is known); r=3 needs d and Delta for the j=2,3 terms.
+    A given d or Delta (r=1), or d*Delta (r=2), that contradicts the
+    derived one raises Infeasible.
 
     Each of the paper's displays follows from the Segre-Chern expansion
     `normal_segre_from_chern` and the blow-up degrees `pushforward_degrees`:
@@ -145,9 +149,11 @@ def segre_chern(
         if deg_delta == 0:
             raise Infeasible("inverse-degree denominator vanishes")
         derived = {"d": _as_int(Fraction(d_delta, deg_delta), "d"), "Delta": deg_delta}
+        _agree(derived, d=d, Delta=Delta)
         return ClassProfile(1, tuple(c), tuple(s)), derived
     if r == 2:
         derived = {"dDelta": pushforward_degrees(2, n, lam, s + [0])[1]}  # s_2 does not enter
+        _agree(derived, dDelta=None if d is None or Delta is None else d * Delta)
     elif d is None or Delta is None:
         return ClassProfile(3, tuple(c), tuple(s)), {}
     else:
@@ -158,6 +164,14 @@ def segre_chern(
             s.append(pushforward_degrees(r, n, lam, s + [0] * (r - len(s)))[which] - target)
             c.append(s[-1] - normal_segre_from_chern(r, n, lam, c + [0])[-1])
     return ClassProfile(r, tuple(c), tuple(s)), derived
+
+
+def _agree(derived: dict, **given: int | None) -> None:
+    """Raise Infeasible if a given value (not None) contradicts the derived one."""
+    given = {k: v for k, v in given.items() if v is not None}
+    if any(derived[k] != v for k, v in given.items()):
+        given_s, derived_s = (" ".join(f"{k}={v[k]}" for k in given) for v in (given, derived))
+        raise Infeasible(f"given {given_s}, derived {derived_s}")
 
 
 def normal_segre_from_chern(
@@ -375,6 +389,8 @@ def structure_formulas(
 
 def coindex_delta(r: int, n: int, d: int) -> tuple[int, int, int, int]:
     """(coindex, secant defect, dim of the inverse base locus, deg Sec)."""
+    if not r < n:
+        raise ValueError("need r < n")
     c = (1 - 2 * d) * r + d * n - 3 * d + 2
     delta = 2 * r + 2 - n
     r_prime = 2 * n - 2 * r - 4

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Row = dict[int, Fraction]
 
@@ -59,7 +59,7 @@ def _eliminate(row: dict, c, pivot: dict) -> dict:
 
 
 def echelon(rows: Iterable[dict]) -> dict:
-    """Forward elimination of a stream of rows: {pivot column: row}.
+    """Forward elimination of a stream of rows, one at a time: {pivot: row}.
 
     Each row is cleared of denominators and reduced by the rows kept so
     far; unless it reduces to zero, it is kept under its smallest column
@@ -80,26 +80,29 @@ def echelon(rows: Iterable[dict]) -> dict:
     return kept
 
 
-def _monic(row: dict, c) -> Row:
-    """The Fraction row with a 1 at column c."""
-    lead = row[c]
-    return {k: Fraction(v, lead) for k, v in row.items()}
+def _back_substitute(kept: dict) -> Iterator[Row]:
+    """The rows of `rref`, from an `echelon` result that it consumes: each
+    integer row is popped as its monic `Fraction` row is made."""
+    pivots = sorted(kept)
+    # back substitution, last pivot first, so each row used is already reduced
+    for c in reversed(pivots):
+        row = kept[c]
+        for k in [k for k in row if k != c and k in kept]:
+            row = _eliminate(row, k, kept[k])
+        kept[c] = row
+    for c in pivots:
+        row = kept.pop(c)
+        yield {k: Fraction(v, row[c]) for k, v in sorted(row.items())}
 
 
 def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices).
 
-    The rows come ordered by pivot, each with its entries in column order.
+    The rows come ordered by pivot, monic, with entries in column order.
     """
     reduced = echelon(rows)
     pivots = sorted(reduced)
-    # back substitution, last pivot first, so each row used is already reduced
-    for c in reversed(pivots):
-        row = reduced[c]
-        for k in [k for k in row if k != c and k in reduced]:
-            row = _eliminate(row, k, reduced[k])
-        reduced[c] = row
-    return [_monic(dict(sorted(reduced[c].items())), c) for c in pivots], pivots
+    return list(_back_substitute(reduced)), pivots
 
 
 def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:

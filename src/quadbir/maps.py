@@ -30,12 +30,11 @@ from .groebner import (
     saturate_irrelevant,
     solve_simplify,
 )
-from .hilbert import _degree_monomials, graded_piece
-from .linalg import echelon, kernel_basis
+from .hilbert import _degree_monomials, _span_basis, graded_piece
+from .linalg import kernel_basis
 from .polyring import Poly, Ring
 
 # size caps past which a certificate raises HeavyComputation
-_CHART_MINOR_CAP = 4000  # Jacobian minors of one simplified chart
 _INVERSE_UNKNOWN_CAP = 2000  # unknown coefficients of the inverse solve
 
 
@@ -213,33 +212,16 @@ def nonzero_minors(mat: Sequence[Sequence[Poly]], k: int, ring: Ring):
                 yield d
 
 
-def _minor_span(polys: Sequence[Poly], k: int, ring: Ring) -> list[Poly]:
-    """Polynomials spanning, over QQ, the space of the k x k minors of the
-    Jacobian of polys, so they generate the same ideal as those minors.
-
-    The minors stream into one exact echelon on monomial columns and are
-    never held together; a minor in the span of earlier ones is dropped.
-    The echelon's primitive integer rows become the polynomials, ordered
-    by pivot.
-    """
-    minors = nonzero_minors(jacobian(polys, ring), k, ring)
-    kept = echelon(m.terms for m in minors)
-    # each integer row is released as its polynomial is made
-    return [Poly(ring, {e: Fraction(v) for e, v in kept.pop(c).items()}) for c in sorted(kept)]
-
-
-def minor_ideal(
-    I: Ideal, codim: int, cap: int = 4000
-) -> Ideal:
-    """I plus a QQ-basis of the span of the codim x codim Jacobian minors
-    of its generators; the same ideal as I plus all those minors."""
+def minor_ideal(I: Ideal, codim: int, cap: int = 4000) -> Ideal:
+    """I plus the `hilbert._span_basis` of the codim x codim Jacobian minors
+    of its generators, which stream into it and are never held together;
+    the same ideal as I plus all those minors."""
     ring = I.ring
     count = comb(len(I.generators), codim) * comb(ring.nvars, codim)
     if count > cap:
-        raise HeavyComputation(
-            f"{count} Jacobian minors exceed the cap of {cap}"
-        )
-    return Ideal(ring, I.generators + tuple(_minor_span(I.generators, codim, ring)))
+        raise HeavyComputation(f"{count} Jacobian minors exceed the cap of {cap}")
+    minors = nonzero_minors(jacobian(I.generators, ring), codim, ring)
+    return Ideal(ring, I.generators + tuple(_span_basis(ring, (m.terms for m in minors))))
 
 
 def singular_locus(
@@ -267,11 +249,11 @@ def smooth_certificate(
     Works chart by chart: the dehomogenized system is simplified by
     eliminating solved variables (an isomorphism of the chart variety onto
     a small presentation), and the Jacobian minor scheme of the small
-    presentation is checked to be empty.  Equivalent to emptiness of the
-    codim-many-minor scheme of I itself, since rank conditions transfer
-    along the chart isomorphisms.
+    presentation (its `minor_ideal`) is checked to be empty.  Equivalent
+    to emptiness of the codim-many-minor scheme of I itself, since rank
+    conditions transfer along the chart isomorphisms.
 
-    Raises HeavyComputation when a chart resists simplification.
+    Raises HeavyComputation when a chart's minors exceed `minor_ideal`'s cap.
     """
     b = _budget(budget)
     ring = I.ring
@@ -291,12 +273,7 @@ def smooth_certificate(
         cprime = sring.nvars - dim_proj
         if cprime <= 0:
             return False
-        nminors = comb(len(sg), cprime) * comb(sring.nvars, cprime)
-        if nminors > _CHART_MINOR_CAP:
-            raise HeavyComputation(
-                f"chart {ring.variables[var]}: {nminors} minors after simplification"
-            )
-        if not contains_one(Ideal(sring, sg + _minor_span(sg, cprime, sring)), b):
+        if not contains_one(minor_ideal(Ideal(sring, sg), cprime), b):
             return False
     return True
 

@@ -120,6 +120,18 @@ def test_invariants_command(capsys):
         (["--r", "4", "--n", "9", "--eps", "1", "--lambda", "10", "--g", "3",
           "--chi", "1", "--a", "7"],
          "hilbert_relations: not determined: r=4 is pinned for n=10, eps=0 only"),
+        # n <= r refuses the coindex and the Hilbert relations too
+        (["--r", "3", "--n", "2", "--lambda", "1", "--g", "0", "--d", "1", "--delta", "1"],
+         "coindex: not determined: need r < n"),
+        (["--r", "3", "--n", "2", "--lambda", "1", "--g", "0", "--d", "1", "--delta", "1"],
+         "hilbert_relations: not determined: need r < n"),
+        # a given d or Delta that contradicts the derived one
+        (["--r", "1", "--n", "4", "--lambda", "5", "--g", "1", "--d", "2", "--delta", "7"],
+         "segre_chern: not determined: given d=2 Delta=7, derived d=3 Delta=1"),
+        (["--r", "1", "--n", "4", "--lambda", "5", "--g", "1", "--delta", "2"],
+         "segre_chern: not determined: given Delta=2, derived Delta=1"),
+        (["--r", "2", "--n", "6", "--lambda", "6", "--g", "1", "--d", "5", "--delta", "1"],
+         "segre_chern: not determined: given dDelta=5, derived dDelta=8"),
     ],
 )
 def test_invariants_refusals(capsys, argv, line):
@@ -129,6 +141,29 @@ def test_invariants_refusals(capsys, argv, line):
     assert "chern_degrees" not in out
 
 
+@pytest.mark.parametrize(
+    "argv, tail",
+    [
+        (["--r", "1", "--n", "4", "--lambda", "5", "--g", "1", "--d", "3", "--delta", "1"],
+         ["chern_degrees: [0]", "segre_degrees: [-25]", "d: 3", "Delta: 1"]),
+        (["--r", "2", "--n", "6", "--lambda", "6", "--g", "1", "--d", "4", "--delta", "2"],
+         ["chern_degrees: [6, 8]", "segre_degrees: [-36, 134]", "dDelta: 8"]),
+        # r = 3 derives nothing to compare from d or Delta alone
+        (["--r", "3", "--n", "8", "--lambda", "11", "--g", "5", "--d", "3"],
+         ["secant_degree: 5", "chern_degrees: [14]", "segre_degrees: [-85]"]),
+        (["--r", "3", "--n", "8", "--lambda", "11", "--g", "5", "--delta", "2"],
+         ["hilbert_relations: {'chi': 0}", "chern_degrees: [14]", "segre_degrees: [-85]"]),
+        (["--r", "3", "--n", "8", "--lambda", "11", "--g", "5", "--d", "3", "--delta", "2"],
+         ["chern_degrees: [14, 19, -6]", "segre_degrees: [-85, 388, -1362]", "dDelta: 6"]),
+    ],
+)
+def test_invariants_consistent_given_values(capsys, argv, tail):
+    # a given d and Delta that agree with the derived ones are reported as before
+    code, out, _ = run(capsys, "invariants", *argv)
+    assert code == 0
+    assert out.splitlines()[-len(tail):] == tail
+
+
 def test_verify_command_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "quadric_slices")
     assert code == 0
@@ -136,9 +171,9 @@ def test_verify_command_and_exit_codes(capsys):
 
 
 def test_verify_all_is_deterministic(capsys):
-    # 60,000 steps cover every example (the largest, with its secant
-    # check, uses 7,979), so the only SKIPPED_HEAVY checks are the heavy
-    # ones that cost more; two runs
+    # 60,000 steps cover every example (the largest, the line-times check
+    # with its singular dimension, uses 59,084), so the only SKIPPED_HEAVY
+    # checks are the heavy ones that cost more; two runs
     # must produce byte-identical canonical reports, equal to the golden
     # report kept in tests/data
     argv = ["--format", "json", "--budget", "60000", "verify", "--all"]

@@ -8,6 +8,7 @@ import pytest
 from quadbir.groebner import Ideal, saturate_irrelevant
 from quadbir.hilbert import (
     _minimalize,
+    _span_basis,
     graded_piece,
     hilbert_data,
     hilbert_series_numerator,
@@ -288,6 +289,56 @@ def test_graded_piece_matches_basis_multiples(name, e):
     dim, basis = graded_piece(I, e)
     assert basis == _graded_piece_from_basis(I, e)
     assert dim == len(basis) > 0
+
+
+def _sympy_span(ring, polys):
+    """The reduced echelon basis by sympy's Matrix.rref over QQ, on the
+    monomials of the input in sympy's own descending grevlex order."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import monomial_key
+
+    monos = sorted({m for p in polys for m in p}, key=monomial_key("grevlex"), reverse=True)
+    if not polys or not monos:
+        return []
+    mat = sympy.Matrix([[sympy.Rational(p.get(m, 0)) for m in monos] for p in polys])
+    reduced, pivots = mat.rref()
+    return [
+        Poly(ring, {m: Fraction(int(c.p), int(c.q)) for m, c in zip(monos, reduced.row(i)) if c})
+        for i in range(len(pivots))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_span_basis_matches_sympy_rref(seed):
+    # sparse homogeneous polynomials of mixed degree, with dependent rows
+    # (combinations of earlier ones) and zero rows mixed in
+    rng = random.Random(seed)
+    ring = Ring(["x", "y", "z", "w"])
+    polys = []
+    for _ in range(rng.randint(1, 12)):
+        if polys and rng.random() < 0.3:
+            a, b = rng.sample(polys, 2) if len(polys) > 1 else polys * 2
+            ca, cb = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)
+            combo = {m: ca * a.get(m, 0) + cb * b.get(m, 0) for m in {*a, *b}}
+            polys.append({m: c for m, c in combo.items() if c})
+            continue
+        d = rng.randint(0, 3)
+        monos = [m for m in itertools.product(range(d + 1), repeat=4) if sum(m) == d]
+        polys.append({
+            m: Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.choice([1, 1, 2, 3]))
+            for m in rng.sample(monos, rng.randint(1, min(4, len(monos))))
+        })
+    basis = _span_basis(ring, iter(polys))
+    assert basis == _sympy_span(ring, polys)
+    assert [list(g.terms) for g in basis] == [
+        sorted(g.terms, key=DEGREVLEX.key(), reverse=True) for g in basis
+    ]
+
+
+def test_span_basis_of_nothing():
+    ring = Ring(["x", "y"])
+    assert _span_basis(ring, iter([])) == [] == _sympy_span(ring, [])
+    assert _span_basis(ring, iter([{}, {}])) == []
 
 
 def test_graded_piece_rejects_inhomogeneous():

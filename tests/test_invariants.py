@@ -90,6 +90,23 @@ def test_segre_chern_surface_product():
     assert r2_ddelta_identity(2) == 8
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 4, 5, 1, 2, 7), "given d=2 Delta=7, derived d=3 Delta=1"),
+        ((1, 4, 5, 1, None, 2), "given Delta=2, derived Delta=1"),
+        ((2, 6, 6, 1, 5, 1), "given dDelta=5, derived dDelta=8"),
+    ],
+)
+def test_segre_chern_refuses_contradicting_given_values(args, message):
+    with pytest.raises(Infeasible, match=message):
+        segre_chern(*args)
+    # values that agree, or that r = 2 and 3 cannot check alone, pass
+    assert segre_chern(1, 4, 5, 1, 3, 1)[1] == {"d": 3, "Delta": 1}
+    assert segre_chern(2, 6, 6, 1, 5)[1] == {"dDelta": 8}
+    assert segre_chern(3, 8, 11, 5, None, 2)[1] == {}
+
+
 def test_segre_chern_threefold_triples():
     cases = {
         (11, 5, 4, 2): (-85, 386, -1330),
@@ -301,6 +318,14 @@ def test_coindex_delta_values():
     assert coindex_delta(3, 8, 3) == (2, 0, 6, 5)
     assert coindex_delta(1, 3, 1) == (1, 1, 0, 1)
     assert coindex_delta(2, 6, 4) == (0, 0, 4, 7)
+
+
+@pytest.mark.parametrize("r, n", [(3, 2), (2, 2), (1, -1)])
+def test_coindex_and_hilbert_relations_need_r_below_n(r, n):
+    with pytest.raises(ValueError, match="need r < n"):
+        coindex_delta(r, n, 1)
+    with pytest.raises(ValueError, match="need r < n"):
+        hp_relations(r, n, 0, 0, lam=1, g=0)
 
 
 def test_k2_thresholds():

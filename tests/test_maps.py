@@ -468,8 +468,10 @@ def test_minor_ideal_is_the_span_of_the_minors(ideal, k):
     assert J.generators[:n] == ideal.generators
     span = J.generators[n:]
     assert len(span) == _coefficient_rank(raw) == _coefficient_rank(raw + list(span))
-    # the echelon's integer rows, not rescaled to a leading 1
-    assert all(c.denominator == 1 for g in span for c in g.terms.values())
+    # reduced echelon rows: monic, and each degrevlex lead occurs in no other
+    leads = [g.lead_monomial() for g in span]
+    assert all(g.terms[m] == 1 for g, m in zip(span, leads))
+    assert all(m not in h.terms for m in leads for h in span if h.lead_monomial() != m)
     assert ideal_equal(J, Ideal(ring, ideal.generators + tuple(raw)))
 
 
