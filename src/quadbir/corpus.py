@@ -709,7 +709,7 @@ CORPUS: dict[str, ExampleSpec] = {
              recorded("recorded image generators (six quadrics and one cubic)",
                       "recorded inverse representative"),
              # its 1,039,792 steps understate it: the reduced echelon of
-             # its 39,235 minors, 100 to 115 s, takes no steps; the declared
+             # its 39,235 minors, about 50 s, takes no steps; the declared
              # cost keeps it out of every run with fewer than 30,000,000
              # steps left until that echelon and its Buchberger run are fast
              singular_dim(5, 50000, 4, "codimension-5 minor scheme in P^13", 30_000_000)),

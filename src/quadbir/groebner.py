@@ -405,7 +405,7 @@ def _buchberger_entries(
 
     driven = hilbert is not None
     if driven:
-        from .hilbert import hilbert_series_numerator, series_coefficients
+        from .hilbert import _packed_numerator, series_coefficients
 
         n = len(P.shifts)
         hf = lambda numerator, d: series_coefficients(numerator, n, d)[d]
@@ -422,7 +422,7 @@ def _buchberger_entries(
                 if deficit:
                     raise HilbertMismatch(degree, deficit)
                 degree = d
-                outside = hilbert_series_numerator(list(map(P.unpack, leads)), n)
+                outside = _packed_numerator(leads, P)
                 deficit = hf(outside, d) - hf(hilbert, d)
             if deficit < 0:
                 raise HilbertMismatch(degree, deficit)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import cache
+from itertools import accumulate, compress, repeat, zip_longest
 from math import factorial
-from operator import and_, lshift, sub
+from operator import and_, not_, rshift, sub
 from typing import Iterable, Sequence
 
-from .groebner import Ideal, StepBudget, _budget
+from .groebner import Ideal, StepBudget, _Packing
 from .linalg import _back_substitute, echelon
 from .polyring import DEGREVLEX, MonomialOrder, Poly, Ring, format_poly, mono_deg
 
@@ -42,10 +43,7 @@ def initial_ideal(
 # integer polynomials in one variable t, as dense coefficient tuples
 
 def _padd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+    return tuple(map(sum, zip_longest(a, b, fillvalue=0)))
 
 
 def _pshift(a: Sequence[int], k: int) -> tuple[int, ...]:
@@ -68,28 +66,26 @@ def _ptrim(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(a)
 
 
-def _minimalize(gens: Sequence[Exponent]) -> tuple[Exponent, ...]:
-    """The minimal generators of the monomial ideal, sorted.
+def _packing(nvars: int, degree: int) -> _Packing:
+    """The degrevlex `groebner._Packing` whose fields hold every monomial
+    of degree at most `degree`."""
+    return _Packing(DEGREVLEX, nvars, max(degree, 1).bit_length())
 
-    Each monomial becomes one int whose fields hold its exponents, each
-    field with a clear guard bit on top, so h divides g iff g - h borrows
-    from no field, that is iff (g - h) & guard == 0.  A proper divisor has
-    a smaller degree, so scanning by degree tests each monomial only
-    against the ones already kept.
+
+def _minimalize(gens: Iterable[int], guard: int) -> tuple[int, ...]:
+    """The minimal generators of a monomial ideal of packed monomials,
+    ascending.
+
+    h divides g iff (g - h) & guard == 0, and a proper divisor is a
+    smaller int, since every monomial order refines divisibility; so
+    scanning in ascending order tests each monomial only against the ones
+    already kept, and a repeated monomial is dropped as divisible.
     """
-    if not gens:
-        return ()
-    w = max(map(max, gens)).bit_length() + 1
-    shifts = tuple(range(0, w * len(gens[0]), w))
-    guard = sum(1 << (s + w - 1) for s in shifts)
-    out: list[Exponent] = []
     kept: list[int] = []
-    for g in sorted(gens, key=mono_deg):
-        p = sum(map(lshift, g, shifts))
-        if all(map(and_, map(sub, repeat(p), kept), repeat(guard))):
-            out.append(g)
-            kept.append(p)
-    return tuple(sorted(out))
+    for g in sorted(gens):
+        if all(map(and_, map(sub, repeat(g), kept), repeat(guard))):
+            kept.append(g)
+    return tuple(kept)
 
 
 def hilbert_series_numerator(
@@ -99,48 +95,39 @@ def hilbert_series_numerator(
     for m in monomials:
         if len(m) != nvars:
             raise ValueError("exponent length mismatch")
-    return _numerator(_minimalize(monomials), nvars, {})
+    P = _packing(nvars, max(map(mono_deg, monomials), default=0))
+    return _packed_numerator(map(P.pack, monomials), P)
 
 
-def _numerator(gens: tuple[Exponent, ...], nvars: int, memo: dict) -> tuple[int, ...]:
-    """The numerator for the minimal generators gens, by the pivot-variable
-    recursion; memo maps the generator tuples met so far to theirs."""
-    if not gens:
-        return (1,)
-    if len(gens) == 1:
-        d = mono_deg(gens[0])
-        return _ptrim((1,) + (0,) * (d - 1) + (-1,))
+def _packed_numerator(monomials: Iterable[int], P: _Packing) -> tuple[int, ...]:
+    """`hilbert_series_numerator` of monomials packed by P, of any order."""
+    return _numerator(_minimalize(monomials, P.guard), P, {})
+
+
+def _numerator(gens: tuple[int, ...], P: _Packing, memo: dict) -> tuple[int, ...]:
+    """The numerator for the minimal packed generators gens, by the
+    pivot-variable recursion (Bigatti, J. Pure Appl. Algebra 119, 1997);
+    memo maps the generator tuples met so far to theirs.  Field 0 of a
+    packed monomial is its degree, and M : x_i subtracts the packed x_i
+    from each generator that x_i divides."""
     cached = memo.get(gens)
     if cached is not None:
         return cached
-    # coprime supports: the generators form a regular sequence
-    support_count = [0] * nvars
-    for g in gens:
-        for i, e in enumerate(g):
-            if e:
-                support_count[i] += 1
-    if all(c <= 1 for c in support_count):
+    # the exponents of each variable, and the number of generators it divides
+    fields = [list(map(and_, map(rshift, gens, repeat(s)), repeat(P.fmax))) for s in P.shifts]
+    support = [len(f) - f.count(0) for f in fields]
+    if max(support, default=0) <= 1:
+        # coprime supports: the generators form a regular sequence
         result = (1,)
         for g in gens:
-            d = mono_deg(g)
-            result = _pmul(result, (1,) + (0,) * (d - 1) + (-1,))
-        result = _ptrim(result)
-        memo[gens] = result
-        return result
-    pivot = max(range(nvars), key=lambda i: support_count[i])
-    # M + (x_pivot)
-    unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-    plus = _minimalize([unit] + [g for g in gens if g[pivot] == 0])
-    # M : x_pivot
-    colon = _minimalize(
-        [
-            g[:pivot] + (g[pivot] - 1,) + g[pivot + 1 :] if g[pivot] else g
-            for g in gens
-        ]
-    )
-    result = _ptrim(
-        _padd(_numerator(plus, nvars, memo), _pshift(_numerator(colon, nvars, memo), 1))
-    )
+            result = _pmul(result, _padd((1,), _pshift((-1,), g & P.full)))
+    else:
+        pivot = support.index(max(support))
+        unit = P.complete(1 << P.shifts[pivot])
+        # M + (x_pivot) and M : x_pivot
+        plus = _minimalize([unit, *compress(gens, map(not_, fields[pivot]))], P.guard)
+        colon = _minimalize([g - unit if e else g for g, e in zip(gens, fields[pivot])], P.guard)
+        result = _ptrim(_padd(_numerator(plus, P, memo), _pshift(_numerator(colon, P, memo), 1)))
     memo[gens] = result
     return result
 
@@ -244,28 +231,15 @@ def hilbert_data(
     """
     if not I.is_homogeneous():
         raise ValueError("hilbert_data needs a homogeneous ideal")
-    b = _budget(budget)
     nvars = I.ring.nvars
-    if I.is_zero():
-        monos: list[Exponent] = []
-    else:
-        gb = I.groebner(order, b)
-        monos = [g.lead_monomial(order) for g in gb]
-        if any(mono_deg(m) == 0 for m in monos):
-            # unit ideal: empty scheme with zero series
-            return HilbertData((0,), nvars, (Fraction(0),), -1, None, None, None, 0)
+    monos = [g.lead_monomial(order) for g in I.groebner(order, budget)]
     numerator = hilbert_series_numerator(monos, nvars)
     # strip factors of (1-t): N = (1-t)^s * Q with Q(1) != 0
     q = list(numerator)
     s = 0
-    while len(q) >= 1 and sum(q) == 0 and any(q):
-        # synthetic division by (1-t): N(t) = (1-t)*Q(t)
-        out = [0] * (len(q) - 1)
-        acc = 0
-        for i in range(len(q) - 1):
-            acc = q[i] + acc
-            out[i] = acc
-        q = out if out else [0]
+    while any(q) and sum(q) == 0:
+        # N(t) = (1-t)*Q(t), and Q's coefficients are the partial sums of N's
+        q = list(accumulate(q[:-1]))
         s += 1
     krull = nvars - s
     dim_proj = krull - 1
@@ -273,7 +247,7 @@ def hilbert_data(
     # in m once m >= j - krull + 1 for every j
     m0 = max(len(q) - krull, 0)
     if krull == 0 or not any(q):
-        # finite length: an m-primary ideal's HF vanishes from degree m0 on
+        # finite length: the HF of an m-primary or unit ideal vanishes from degree m0 on
         return HilbertData(numerator, nvars, (Fraction(0),), -1, None, None, None, m0)
     degree = sum(q)
     k = krull - 1  # degree of the Hilbert polynomial
@@ -297,25 +271,35 @@ def graded_piece(I: Ideal, e: int) -> tuple[int, list[Poly]]:
     I, which the degree-e multiples of its generators span."""
     if not I.is_homogeneous():
         raise ValueError("graded piece needs a homogeneous ideal")
-    rows = (
-        {tuple(x + y for x, y in zip(shift, ge)): c for ge, c in g.terms.items()}
-        for g in I.generators
-        if g.degree() <= e
-        for shift in _degree_monomials(I.ring.nvars, e - g.degree())
-    )
-    basis = _span_basis(I.ring, rows)
+    nvars = I.ring.nvars
+    P = _packing(nvars, e)
+    shifts = cache(lambda d: list(map(P.pack, _degree_monomials(nvars, d))))
+
+    def rows():
+        # each generator and each shift is packed once; a multiple adds them
+        for g in I.generators:
+            if g.degree() <= e:
+                terms = {-P.pack(m): c for m, c in g.terms.items()}
+                for s in shifts(e - g.degree()):
+                    yield {t - s: c for t, c in terms.items()}
+
+    basis = _span_basis(I.ring, P, rows())
     return len(basis), basis
 
 
-def _span_basis(ring: Ring, terms: Iterable[dict]) -> list[Poly]:
-    """The reduced echelon basis of the QQ-span of a stream of term dicts,
-    leading monomial first: on columns keyed (-degree, reversed exponents),
-    the column order of F4 (Faugere, J. Pure Appl. Algebra 139, 1999), each
-    pivot is its row's degrevlex lead, so every basis polynomial is monic
-    and its lead occurs in no other.  The stream passes through `echelon`
-    once, and each reduced row is released as its polynomial is made."""
-    rows = _back_substitute(echelon({(-sum(m), m[::-1]): c for m, c in t.items()} for t in terms))
-    return [Poly(ring, {m[::-1]: c for (_, m), c in row.items()}) for row in rows]
+def _span_basis(ring: Ring, P: _Packing, rows: Iterable[dict]) -> list[Poly]:
+    """The reduced echelon basis of the QQ-span of a stream of rows, leading
+    monomial first.  A row maps negated monomials, packed by the degrevlex
+    packing P, to coefficients: on these columns, the column order of F4
+    (Faugere, J. Pure Appl. Algebra 139, 1999), each pivot is its row's
+    degrevlex lead, so every basis polynomial is monic and its lead occurs
+    in no other.  The stream passes through `echelon` once, and each
+    reduced row is released as its polynomial is made."""
+    unpack = cache(lambda m: P.unpack(-m))  # once per column, its tuple shared
+    return [
+        Poly(ring, {unpack(m): c for m, c in row.items()})
+        for row in _back_substitute(echelon(rows))
+    ]
 
 
 def _degree_monomials(nvars: int, degree: int) -> list[Exponent]:

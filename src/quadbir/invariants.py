@@ -60,6 +60,7 @@ def hp_relations(
     r=1 returns lam and g from (n, a, eps); r=2 returns chi and lam from g;
     r=3 returns chi from (lam, g); r=4 returns the full Hilbert polynomial
     coefficient vector from (lam, g, chi, a), pinned for n=10, eps=0 only.
+    A given lam, g or chi that contradicts the derived one raises Infeasible.
     """
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
@@ -68,25 +69,28 @@ def hp_relations(
     if r == 1:
         lam_f = Fraction(n * n - n + 2 * eps - 2 * a - 2, 2)
         g_f = Fraction(n * n - 3 * n + 4 * eps - 2 * a - 2, 2)
-        return {"lam": _as_int(lam_f, "lam"), "g": _as_int(g_f, "g")}
-    if r == 2:
+        out = {"lam": _as_int(lam_f, "lam"), "g": _as_int(g_f, "g")}
+    elif r == 2:
         if g is None:
             raise ValueError("r=2 needs g")
         chi_f = Fraction(2 * a - n * n + 5 * n + 2 * g - 6 * eps + 4, 4)
         lam_f = Fraction(n * n - n + 2 * g + 2 * eps - 2 * a - 4, 4)
-        return {"chi": _as_int(chi_f, "chi"), "lam": _as_int(lam_f, "lam")}
-    if r == 3:
+        out = {"chi": _as_int(chi_f, "chi"), "lam": _as_int(lam_f, "lam")}
+    elif r == 3:
         if lam is None or g is None:
             raise ValueError("r=3 needs lam and g")
         chi_f = Fraction(4 * lam - n * n + 3 * n - 2 * g - 4 * eps + 2 * a + 6, 2)
-        return {"chi": _as_int(chi_f, "chi")}
-    if r == 4:
+        out = {"chi": _as_int(chi_f, "chi")}
+    elif r == 4:
         if None in (lam, g, chi):
             raise ValueError("r=4 needs lam, g, chi")
         if (n, eps) != (10, 0):
             raise ValueError("r=4 is pinned for n=10, eps=0 only")
-        return {"hp": hilbert_poly_r4(lam, g, chi, a)}
-    raise ValueError(f"unsupported base-locus dimension r={r}")
+        out = {"hp": hilbert_poly_r4(lam, g, chi, a)}
+    else:
+        raise ValueError(f"unsupported base-locus dimension r={r}")
+    _agree(out, lam=lam, g=g, chi=chi)
+    return out
 
 
 def hilbert_poly_r4(lam: int, g: int, chi: int, a: int) -> tuple[Fraction, ...]:
@@ -167,8 +171,9 @@ def segre_chern(
 
 
 def _agree(derived: dict, **given: int | None) -> None:
-    """Raise Infeasible if a given value (not None) contradicts the derived one."""
-    given = {k: v for k, v in given.items() if v is not None}
+    """Raise Infeasible if a given value (not None) of a derived key
+    contradicts the derived one."""
+    given = {k: v for k, v in given.items() if v is not None and k in derived}
     if any(derived[k] != v for k, v in given.items()):
         given_s, derived_s = (" ".join(f"{k}={v[k]}" for k in given) for v in (given, derived))
         raise Infeasible(f"given {given_s}, derived {derived_s}")

@@ -30,7 +30,7 @@ from .groebner import (
     saturate_irrelevant,
     solve_simplify,
 )
-from .hilbert import _degree_monomials, _span_basis, graded_piece
+from .hilbert import _degree_monomials, _packing, _span_basis, graded_piece
 from .linalg import kernel_basis
 from .polyring import Poly, Ring
 
@@ -221,7 +221,11 @@ def minor_ideal(I: Ideal, codim: int, cap: int = 4000) -> Ideal:
     if count > cap:
         raise HeavyComputation(f"{count} Jacobian minors exceed the cap of {cap}")
     minors = nonzero_minors(jacobian(I.generators, ring), codim, ring)
-    return Ideal(ring, I.generators + tuple(_span_basis(ring, (m.terms for m in minors))))
+    # a minor's degree is at most the sum of codim generator degrees, less codim
+    degrees = sorted(g.degree() for g in I.generators)
+    P = _packing(ring.nvars, sum(degrees[-codim:]) - codim)
+    rows = ({-P.pack(e): c for e, c in m.terms.items()} for m in minors)
+    return Ideal(ring, I.generators + tuple(_span_basis(ring, P, rows)))
 
 
 def singular_locus(

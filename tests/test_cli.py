@@ -146,7 +146,8 @@ def test_invariants_refusals(capsys, argv, line):
     [
         (["--r", "1", "--n", "4", "--lambda", "5", "--g", "1", "--d", "3", "--delta", "1"],
          ["chern_degrees: [0]", "segre_degrees: [-25]", "d: 3", "Delta: 1"]),
-        (["--r", "2", "--n", "6", "--lambda", "6", "--g", "1", "--d", "4", "--delta", "2"],
+        (["--r", "2", "--n", "6", "--lambda", "6", "--g", "1", "--a", "2",
+          "--d", "4", "--delta", "2"],
          ["chern_degrees: [6, 8]", "segre_degrees: [-36, 134]", "dDelta: 8"]),
         # r = 3 derives nothing to compare from d or Delta alone
         (["--r", "3", "--n", "8", "--lambda", "11", "--g", "5", "--d", "3"],
@@ -162,6 +163,31 @@ def test_invariants_consistent_given_values(capsys, argv, tail):
     code, out, _ = run(capsys, "invariants", *argv)
     assert code == 0
     assert out.splitlines()[-len(tail):] == tail
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # a given lambda, g or chi that the Hilbert relations contradict
+        (["--r", "2", "--n", "6", "--lambda", "6", "--g", "1"],
+         "hilbert_relations: not determined: given lam=6, derived lam=7"),
+        (["--r", "1", "--n", "4", "--lambda", "9", "--g", "1"],
+         "hilbert_relations: not determined: given lam=9 g=1, derived lam=5 g=1"),
+        (["--r", "3", "--n", "8", "--lambda", "8", "--g", "2", "--chi", "5", "--a", "4"],
+         "hilbert_relations: not determined: given chi=5, derived chi=1"),
+        # and given values that agree with them
+        (["--r", "3", "--n", "8", "--lambda", "8", "--g", "2", "--chi", "1", "--a", "4"],
+         "hilbert_relations: {'chi': 1}"),
+        (["--r", "2", "--n", "6", "--lambda", "7", "--g", "1"],
+         "hilbert_relations: {'chi': 0, 'lam': 7}"),
+        (["--r", "1", "--n", "4", "--lambda", "5", "--g", "1"],
+         "hilbert_relations: {'lam': 5, 'g': 1}"),
+    ],
+)
+def test_invariants_checks_given_hilbert_values(capsys, argv, line):
+    code, out, _ = run(capsys, "invariants", *argv)
+    assert code == 0
+    assert out.splitlines()[0] == line
 
 
 def test_verify_command_and_exit_codes(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -5,20 +6,25 @@ from fractions import Fraction
 
 import pytest
 
-from quadbir.groebner import Ideal, saturate_irrelevant
+from quadbir.groebner import Ideal, _Packing, saturate_irrelevant
 from quadbir.hilbert import (
+    HilbertData,
     _minimalize,
+    _packed_numerator,
+    _packing,
     _span_basis,
     graded_piece,
     hilbert_data,
     hilbert_series_numerator,
     initial_ideal,
+    series_coefficients,
     standard_monomial_count,
 )
 from quadbir.ideal_io import read_ideal
 from quadbir.invariants import hp_relations
 from quadbir.linalg import rref
-from quadbir.polyring import DEGREVLEX, LEX, Poly, Ring, mono_divides
+from quadbir.maps import minor_ideal
+from quadbir.polyring import DEGREVLEX, LEX, MonomialOrder, Poly, Ring, mono_divides
 from quadbir.varieties import elliptic_quintic_pfaffian, rational_normal_curve, veronese
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "quadbir", "data", "ideals")
@@ -172,6 +178,15 @@ def test_m_primary_ideal_is_the_empty_scheme():
     assert hd.hilbert_function(4) == [1, 3, 0, 0, 0]
 
 
+def test_unit_ideal_has_zero_series():
+    # the unit ideal's numerator is 1 - t^0 = 0, so it goes through the
+    # finite-length branch: the empty scheme, zero from degree 0 on
+    ring = Ring(["x", "y", "z"])
+    assert hilbert_series_numerator([(0, 0, 0), (1, 0, 0)], 3) == (0,)
+    hd = hilbert_data(Ideal(ring, [ring.one().scale(2), ring.parse("x")]))
+    assert hd == HilbertData((0,), 3, (Fraction(0),), -1, None, None, None, 0)
+
+
 def test_order_invariance(twisted_cubic, quartic_image):
     for I in (twisted_cubic, quartic_image, veronese(2, 2)):
         a = hilbert_data(I, DEGREVLEX)
@@ -208,7 +223,10 @@ def test_minimalize_matches_naive_definition():
         naive = sorted(
             {m for m in monos if not any(h != m and mono_divides(h, m) for h in monos)}
         )
-        assert _minimalize(monos) == tuple(naive), seed
+        P = _packing(n, max(map(sum, monos)))
+        minimal = _minimalize(map(P.pack, monos), P.guard)
+        assert list(minimal) == sorted(minimal), seed
+        assert tuple(sorted(map(P.unpack, minimal))) == tuple(naive), seed
 
 
 def test_standard_monomial_count_matches_enumeration():
@@ -222,6 +240,51 @@ def test_standard_monomial_count_matches_enumeration():
             if sum(e) == d and not any(mono_divides(g, e) for g in monos)
         )
         assert standard_monomial_count(monos, n, d) == naive, seed
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_packed_numerator_matches_the_oracle(seed):
+    # N(t)/(1-t)^n counts the standard monomials in every degree up to
+    # deg N, which pins N, and renaming the variables leaves it unchanged
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    monos = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 12))]
+    N = hilbert_series_numerator(monos, n)
+    upto = len(N) + 1
+    assert series_coefficients(N, n, upto) == [
+        standard_monomial_count(monos, n, d) for d in range(upto + 1)
+    ]
+    perm = rng.sample(range(n), n)
+    assert hilbert_series_numerator([tuple(m[i] for i in perm) for m in monos], n) == N
+
+
+def test_packed_numerator_sizes_its_fields_from_the_input():
+    # exponents past 255 need more than 8 value bits per field
+    assert hilbert_series_numerator([(300, 0)], 2) == (1,) + (0,) * 299 + (-1,)
+    monos = [(300, 0, 0), (0, 257, 0), (1, 1, 1)]
+    N = hilbert_series_numerator(monos, 3)
+    series = series_coefficients(N, 3, 302)
+    for d in (3, 255, 256, 257, 258, 299, 300, 301, 302):
+        assert series[d] == standard_monomial_count(monos, 3, d), d
+
+
+@pytest.mark.parametrize(
+    "order", [MonomialOrder.elimination(1), MonomialOrder.elimination(2), LEX]
+)
+def test_packed_numerator_of_other_orders(order):
+    # the driven elimination run hands over leads packed by its own order;
+    # their numerator is the one the exponent tuples give
+    for I in (rational_normal_curve(3), rational_normal_curve(4), veronese(2, 2)):
+        n = I.ring.nvars
+        leads = [g.lead_monomial(order) for g in I.groebner(order)]
+        P = _Packing(order, n, 8)
+        assert _packed_numerator([P.pack(m) for m in leads], P) == hilbert_series_numerator(
+            leads, n
+        )
+    for seed in range(20):
+        n, monos = _random_monomials(random.Random(seed))
+        P = _Packing(order, n, 8)
+        assert _packed_numerator(map(P.pack, monos), P) == hilbert_series_numerator(monos, n)
 
 
 def test_generic_section_first_difference():
@@ -308,6 +371,13 @@ def _sympy_span(ring, polys):
     ]
 
 
+def _packed_rows(ring, polys):
+    """The packing and the stream of rows that `_span_basis` takes for
+    these term dicts: negated packed monomials to coefficients."""
+    P = _packing(ring.nvars, max((sum(m) for p in polys for m in p), default=0))
+    return P, iter([{-P.pack(m): c for m, c in p.items()} for p in polys])
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_span_basis_matches_sympy_rref(seed):
     # sparse homogeneous polynomials of mixed degree, with dependent rows
@@ -328,7 +398,7 @@ def test_span_basis_matches_sympy_rref(seed):
             m: Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.choice([1, 1, 2, 3]))
             for m in rng.sample(monos, rng.randint(1, min(4, len(monos))))
         })
-    basis = _span_basis(ring, iter(polys))
+    basis = _span_basis(ring, *_packed_rows(ring, polys))
     assert basis == _sympy_span(ring, polys)
     assert [list(g.terms) for g in basis] == [
         sorted(g.terms, key=DEGREVLEX.key(), reverse=True) for g in basis
@@ -337,8 +407,45 @@ def test_span_basis_matches_sympy_rref(seed):
 
 def test_span_basis_of_nothing():
     ring = Ring(["x", "y"])
-    assert _span_basis(ring, iter([])) == [] == _sympy_span(ring, [])
-    assert _span_basis(ring, iter([{}, {}])) == []
+    assert _span_basis(ring, *_packed_rows(ring, [])) == [] == _sympy_span(ring, [])
+    assert _span_basis(ring, *_packed_rows(ring, [{}, {}])) == []
+
+
+def _digest(polys):
+    """SHA-256 of the polynomials' terms, in their stored order."""
+    h = hashlib.sha256()
+    for p in polys:
+        h.update(repr([(e, str(c)) for e, c in p.terms.items()]).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _image(name):
+    return read_ideal(os.path.join(DATA, f"{name}_image.ideal"))
+
+
+def _minor_span(I, codim, cap):
+    return minor_ideal(I, codim, cap).generators[len(I.generators):]
+
+
+@pytest.mark.parametrize(
+    "span, size, digest",
+    [
+        # spans in 13 and 14 variables, term order included: a reduced
+        # echelon form is unique for its column order, so a change to the
+        # degrevlex column order or to the elimination shows here
+        (lambda: _minor_span(_image("line_times_quadric"), 4, 12000), 1210,
+         "2846ef0a9cb8a18220a7d8fb5e4f289d364abdae15a3583648154544cc347d87"),
+        (lambda: graded_piece(_image("line_times_quadric"), 4)[1], 476,
+         "3a62497e29a9d4af0c1c19b6d2e648e3e7c5e7649fafc1fe6a50334c34ad904d"),
+        (lambda: graded_piece(_image("del_pezzo_seven"), 4)[1], 619,
+         "a7a31673294c8f6a299df6f139ca9519efaabd14f68f887bc9902c7717a0e614"),
+    ],
+    ids=["line_times_minors", "line_times_degree_4", "del_pezzo_degree_4"],
+)
+def test_span_pins(span, size, digest):
+    basis = span()
+    assert len(basis) == size
+    assert _digest(basis) == digest
 
 
 def test_graded_piece_rejects_inhomogeneous():

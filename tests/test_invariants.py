@@ -76,6 +76,19 @@ def test_hp_infeasible_is_flagged():
         hp_relations(2, 6, 0, 0, g=0)  # quarter-integer chi
 
 
+def test_hp_relations_refuse_contradicting_given_values():
+    with pytest.raises(Infeasible, match="given lam=9 g=1, derived lam=5 g=1"):
+        hp_relations(1, 4, 0, 0, lam=9, g=1)
+    with pytest.raises(Infeasible, match="given lam=6, derived lam=7"):
+        hp_relations(2, 6, 0, 0, g=1, lam=6)
+    with pytest.raises(Infeasible, match="given chi=5, derived chi=1"):
+        hp_relations(3, 8, 4, 0, lam=8, g=2, chi=5)
+    # values that agree are accepted, and the result is what it was
+    assert hp_relations(1, 4, 0, 0, lam=5, g=1) == {"lam": 5, "g": 1}
+    assert hp_relations(2, 6, 2, 0, g=1, lam=6, chi=1) == {"chi": 1, "lam": 6}
+    assert hp_relations(3, 8, 4, 0, lam=8, g=2, chi=1) == {"chi": 1}
+
+
 # --- Segre/Chern displays ---------------------------------------------------
 
 def test_segre_chern_curve_case():
