@@ -11,7 +11,6 @@ identity that holds on a dense open subset holds identically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -32,7 +31,7 @@ from .groebner import (
 )
 from .hilbert import _degree_monomials, _packing, _span_basis, graded_piece
 from .linalg import kernel_basis
-from .polyring import Poly, Ring
+from .polyring import Poly, Ring, nonzero_minors
 
 # size caps past which a certificate raises HeavyComputation
 _INVERSE_UNKNOWN_CAP = 2000  # unknown coefficients of the inverse solve
@@ -170,46 +169,6 @@ def image_forms(F: RationalMap, degree: int) -> list[Poly]:
 
 def jacobian(polys: Sequence[Poly], ring: Ring) -> list[list[Poly]]:
     return [[g.diff(v) for v in ring.variables] for g in polys]
-
-
-def _minor(mat, rows: tuple, cols: tuple, memo: dict, ring: Ring) -> Poly:
-    """The minor of mat on cols and the last len(cols) of rows, expanded
-    along its first row.  memo holds the minors of fewer columns than rows
-    computed so far on these rows, by column set."""
-    row = mat[rows[-len(cols)]]
-    if len(cols) == 1:
-        return row[cols[0]]
-    if cols in memo:
-        return memo[cols]
-    total = ring.zero()
-    for j, c in enumerate(cols):
-        e = row[c]
-        if not e:
-            continue
-        sub = _minor(mat, rows, cols[:j] + cols[j + 1 :], memo, ring)
-        if not sub:
-            continue
-        t = e * sub
-        total = total + t if j % 2 == 0 else total - t
-    if len(cols) < len(rows):
-        memo[cols] = total
-    return total
-
-
-def nonzero_minors(mat: Sequence[Sequence[Poly]], k: int, ring: Ring):
-    """Yield the nonzero k x k minors of a polynomial matrix, row sets in
-    lexicographic order and, within each, column sets likewise.
-
-    Each minor is the cofactor expansion along its first row.  Sub-minors
-    recur across the column sets of one row set, so they are memoized; the
-    memo is dropped when the row set changes, which bounds its size.
-    """
-    for rows in itertools.combinations(range(len(mat)), k):
-        memo: dict[tuple, Poly] = {}
-        for cols in itertools.combinations(range(len(mat[0])), k):
-            d = _minor(mat, rows, cols, memo, ring)
-            if d:
-                yield d
 
 
 def minor_ideal(I: Ideal, codim: int, cap: int = 4000) -> Ideal:

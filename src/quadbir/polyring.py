@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import combinations
 from operator import le
 from typing import Callable, Iterable, Sequence
 
@@ -391,6 +392,46 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
+
+
+def _minor(mat, rows: tuple, cols: tuple, memo: dict, ring: Ring) -> Poly:
+    """The minor of mat on cols and the last len(cols) of rows, expanded
+    along its first row.  memo holds the minors of fewer columns than rows
+    computed so far on these rows, by column set."""
+    row = mat[rows[-len(cols)]]
+    if len(cols) == 1:
+        return row[cols[0]]
+    if cols in memo:
+        return memo[cols]
+    total = ring.zero()
+    for j, c in enumerate(cols):
+        e = row[c]
+        if not e:
+            continue
+        sub = _minor(mat, rows, cols[:j] + cols[j + 1 :], memo, ring)
+        if not sub:
+            continue
+        t = e * sub
+        total = total + t if j % 2 == 0 else total - t
+    if len(cols) < len(rows):
+        memo[cols] = total
+    return total
+
+
+def nonzero_minors(mat: Sequence[Sequence[Poly]], k: int, ring: Ring):
+    """Yield the nonzero k x k minors of a polynomial matrix, row sets in
+    lexicographic order and, within each, column sets likewise.
+
+    Each minor is the cofactor expansion along its first row.  Sub-minors
+    recur across the column sets of one row set, so they are memoized; the
+    memo is dropped when the row set changes, which bounds its size.
+    """
+    for rows in combinations(range(len(mat)), k):
+        memo: dict[tuple, Poly] = {}
+        for cols in combinations(range(len(mat[0])), k):
+            d = _minor(mat, rows, cols, memo, ring)
+            if d:
+                yield d
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .groebner import Ideal, _fresh_name
-from .maps import nonzero_minors
-from .polyring import Poly, Ring
+from .polyring import Poly, Ring, nonzero_minors
 
 
 def rational_normal_curve(e: int) -> Ideal:

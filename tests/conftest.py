@@ -18,12 +18,15 @@ The terminal summary prints how many checks of each kind the session made.
 """
 
 import os
+import pkgutil
 import sys
+from importlib import import_module
 from itertools import compress, repeat
 from operator import add, eq, or_, sub
 
 import pytest
 
+import quadbir
 import quadbir.groebner as groebner
 import quadbir.hilbert as hilbert
 from quadbir.groebner import Ideal, StepBudget, _Entry, _reduce_int, _to_int_terms, _widening, reduce
@@ -219,6 +222,11 @@ def paranoid_mode():
     if os.environ.get("QUADBIR_TEST_PARANOID", "1") == "0":
         yield
         return
+    # the package loads a layer on first use, so load them all now: a layer
+    # that a test would load later is then checked as well
+    for info in pkgutil.iter_modules(quadbir.__path__):
+        if info.name != "__main__":
+            import_module(f"quadbir.{info.name}")
     # rebind every module-level name bound to an original, so that calls
     # through a name a module imported itself are checked too
     wrappers = ((_orig_buchberger, _checked_buchberger),

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from quadbir.cli import main
+from quadbir.corpus import CORPUS
 from quadbir.ideal_io import serialize_ideal
 from quadbir.varieties import rational_normal_curve
 
@@ -194,6 +195,13 @@ def test_verify_command_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "quadric_slices")
     assert code == 0
     assert "example quadric_slices: PASS" in out
+
+
+def test_verify_unknown_example_exit_code(capsys):
+    code, out, err = run(capsys, "verify", "no_such_example")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown example 'no_such_example'")
+    assert all(name in err for name in CORPUS)
 
 
 def test_verify_all_is_deterministic(capsys):
