@@ -16,10 +16,9 @@ __version__ = "0.1.0"
 
 # each public name, by the submodule that defines it
 _HOMES = {
-    "polyring": ("DEGREVLEX", "LEX", "MonomialOrder", "Poly", "Ring"),
+    "polyring": ("DEGREVLEX", "Ideal", "LEX", "MonomialOrder", "Poly", "Ring"),
     "groebner": (
         "BudgetExceeded",
-        "Ideal",
         "StepBudget",
         "buchberger",
         "eliminate",

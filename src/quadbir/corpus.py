@@ -28,7 +28,6 @@ from typing import Callable
 from .classify import CaseRow, check_row, load_table
 from .groebner import (
     BudgetExceeded,
-    Ideal,
     StepBudget,
     _budget,
     _contained_in,
@@ -62,7 +61,7 @@ from .maps import (
     smooth_certificate,
     solve_inverse,
 )
-from .polyring import Poly
+from .polyring import Ideal, Poly
 from .varieties import (
     elliptic_quintic_pfaffian,
     grassmannian_plucker,

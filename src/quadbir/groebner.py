@@ -8,6 +8,9 @@ primitive integer form with a positive leading coefficient.
 
 Every basis computation charges a step budget so that heavy runs fail with
 a distinct `BudgetExceeded` error instead of hanging.
+
+`Ideal` is defined in `polyring`, next to `Ring` and `Poly`, so that
+building one loads no engine; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from .linalg import cofactors, content, integral, primitive
 from .polyring import (
     DEGREVLEX,
     Exponent,
+    Ideal,
     MonomialOrder,
     Poly,
     Ring,
+    _fresh_name,
     mono_divides,
 )
 
@@ -464,47 +469,7 @@ def _reduced_basis(G: list[_Entry], P: _Packing, budget: StepBudget) -> list[dic
 
 
 # ---------------------------------------------------------------------------
-# public surface
-
-class Ideal:
-    """Finitely generated ideal with cached reduced Groebner bases."""
-
-    __slots__ = ("ring", "generators", "_gb_cache")
-
-    def __init__(self, ring: Ring, generators: Iterable[Poly]):
-        gens = []
-        for g in generators:
-            if not isinstance(g, Poly):
-                raise TypeError("ideal generators must be Poly")
-            if g.ring != ring:
-                raise ValueError("generator in wrong ring")
-            if g:
-                gens.append(g)
-        self.ring = ring
-        self.generators = tuple(gens)
-        self._gb_cache: dict[MonomialOrder, tuple[Poly, ...]] = {}
-
-    def is_zero(self) -> bool:
-        return not self.generators
-
-    def is_homogeneous(self) -> bool:
-        return all(g.is_homogeneous() for g in self.generators)
-
-    def groebner(
-        self, order: MonomialOrder = DEGREVLEX, budget: StepBudget | int | None = None
-    ) -> tuple[Poly, ...]:
-        cached = self._gb_cache.get(order)
-        if cached is not None:
-            return cached
-        gb = buchberger(self, order, budget)
-        self._gb_cache[order] = gb
-        return gb
-
-    def __repr__(self):
-        gens = ", ".join(str(g) for g in self.generators[:4])
-        more = "" if len(self.generators) <= 4 else f", ... ({len(self.generators)} gens)"
-        return f"Ideal({gens}{more})"
-
+# public surface (the `Ideal` it takes is defined in `polyring`)
 
 def _negated(key):
     """The key of the opposite order: every int of a nested key negated."""
@@ -683,15 +648,6 @@ def eliminate(
 
 # ---------------------------------------------------------------------------
 # quotient and saturation
-
-def _fresh_name(ring: Ring, base: str = "t") -> str:
-    name = base
-    k = 0
-    while name in ring.variables:
-        k += 1
-        name = f"{base}{k}"
-    return name
-
 
 def exact_divide(g: Poly, f: Poly) -> Poly:
     """Quotient g/f when f divides g exactly."""

@@ -18,9 +18,9 @@ from math import factorial
 from operator import and_, not_, rshift, sub
 from typing import Iterable, Sequence
 
-from .groebner import Ideal, StepBudget, _Packing
+from .groebner import StepBudget, _Packing
 from .linalg import _back_substitute, echelon
-from .polyring import DEGREVLEX, MonomialOrder, Poly, Ring, format_poly, mono_deg
+from .polyring import DEGREVLEX, Ideal, MonomialOrder, Poly, Ring, format_poly, mono_deg
 
 Exponent = tuple
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import io
 
-from .groebner import Ideal
-from .polyring import VARIABLE, Poly, PolyParseError, Ring, format_poly, parse_poly
+from .polyring import VARIABLE, Ideal, Poly, PolyParseError, Ring, format_poly, parse_poly
 
 
 def parse_ideal_text(text: str) -> Ideal:
@@ -35,17 +34,15 @@ def parse_ideal_text(text: str) -> Ideal:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("ring "):
+        # after 'ideal:' every line is a generator, even one that starts
+        # with a variable named `ring`
+        if line.startswith("ring ") and not in_ideal:
             if ring is not None:
                 raise PolyParseError("duplicate ring header", lineno)
-            body = line[len("ring "):].strip()
-            if body.endswith("over QQ"):
-                body = body[: -len("over QQ")].strip()
-            else:
-                raise PolyParseError(
-                    "ring header must end with 'over QQ'", lineno
-                )
-            names = body.split()
+            words = line.split()[1:]
+            if words[-2:] != ["over", "QQ"]:
+                raise PolyParseError("ring header must end with 'over QQ'", lineno)
+            names = words[:-2]
             if not names:
                 raise PolyParseError("ring header lists no variables", lineno)
             for k, name in enumerate(names):

@@ -17,10 +17,8 @@ from math import comb
 from typing import Sequence
 
 from .groebner import (
-    Ideal,
     StepBudget,
     _budget,
-    _fresh_name,
     contains_one,
     dehomogenize,
     eliminate,
@@ -31,7 +29,7 @@ from .groebner import (
 )
 from .hilbert import _degree_monomials, _packing, _span_basis, graded_piece
 from .linalg import kernel_basis
-from .polyring import Poly, Ring, nonzero_minors
+from .polyring import Ideal, Poly, Ring, _fresh_name, nonzero_minors
 
 # size caps past which a certificate raises HeavyComputation
 _INVERSE_UNKNOWN_CAP = 2000  # unknown coefficients of the inverse solve

@@ -4,6 +4,10 @@ Polynomials live in a named graded ring (every variable has degree 1) and
 are stored sparsely as a dict mapping exponent tuples to nonzero Fraction
 coefficients.  The zero polynomial is the empty dict.  All operations are
 pure and return canonical results, so polynomial identity testing is exact.
+
+`Ideal` is defined here too, so that building one, or reading one from a
+file, needs no more than this module and `linalg`.  Its `groebner` method
+imports the Buchberger engine of `groebner` when it is first called.
 """
 
 from __future__ import annotations
@@ -13,9 +17,12 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from operator import le
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .linalg import integral
+
+if TYPE_CHECKING:
+    from .groebner import StepBudget
 
 Exponent = tuple  # tuple[int, ...], one entry per ring variable
 
@@ -432,6 +439,62 @@ def nonzero_minors(mat: Sequence[Sequence[Poly]], k: int, ring: Ring):
             d = _minor(mat, rows, cols, memo, ring)
             if d:
                 yield d
+
+
+# ---------------------------------------------------------------------------
+# ideals
+
+class Ideal:
+    """Finitely generated ideal with cached reduced Groebner bases."""
+
+    __slots__ = ("ring", "generators", "_gb_cache")
+
+    def __init__(self, ring: Ring, generators: Iterable[Poly]):
+        gens = []
+        for g in generators:
+            if not isinstance(g, Poly):
+                raise TypeError("ideal generators must be Poly")
+            if g.ring != ring:
+                raise ValueError("generator in wrong ring")
+            if g:
+                gens.append(g)
+        self.ring = ring
+        self.generators = tuple(gens)
+        self._gb_cache: dict[MonomialOrder, tuple[Poly, ...]] = {}
+
+    def is_zero(self) -> bool:
+        return not self.generators
+
+    def is_homogeneous(self) -> bool:
+        return all(g.is_homogeneous() for g in self.generators)
+
+    def groebner(
+        self, order: MonomialOrder = DEGREVLEX, budget: StepBudget | int | None = None
+    ) -> tuple[Poly, ...]:
+        cached = self._gb_cache.get(order)
+        if cached is not None:
+            return cached
+        # the engine loads on the first basis asked for; the name is read at
+        # call time, so a rebinding of `groebner.buchberger` is seen
+        from .groebner import buchberger
+
+        gb = buchberger(self, order, budget)
+        self._gb_cache[order] = gb
+        return gb
+
+    def __repr__(self):
+        gens = ", ".join(str(g) for g in self.generators[:4])
+        more = "" if len(self.generators) <= 4 else f", ... ({len(self.generators)} gens)"
+        return f"Ideal({gens}{more})"
+
+
+def _fresh_name(ring: Ring, base: str = "t") -> str:
+    name = base
+    k = 0
+    while name in ring.variables:
+        k += 1
+        name = f"{base}{k}"
+    return name
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .groebner import Ideal, _fresh_name
-from .polyring import Poly, Ring, nonzero_minors
+from .polyring import Ideal, Poly, Ring, _fresh_name, nonzero_minors
 
 
 def rational_normal_curve(e: int) -> Ideal:

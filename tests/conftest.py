@@ -246,6 +246,12 @@ def paranoid_mode():
         setattr(module, name, value)
 
 
+@pytest.fixture
+def paranoid_stats():
+    """The counts the paranoid checks have reached so far in this session."""
+    return _stats
+
+
 def pytest_terminal_summary(terminalreporter):
     """Print how much the paranoid checks verified in this session."""
     if os.environ.get("QUADBIR_TEST_PARANOID", "1") == "0":

@@ -27,7 +27,7 @@ from quadbir.hilbert import hilbert_data
 from quadbir.groebner import Ideal
 from quadbir.ideal_io import parse_ideal_text, read_ideal, serialize_ideal
 from quadbir.maps import HeavyComputation, solve_inverse
-from quadbir.polyring import PolyParseError
+from quadbir.polyring import PolyParseError, Ring
 from quadbir.varieties import grassmannian_plucker
 
 DATA = os.path.join(
@@ -51,8 +51,11 @@ def test_corpus_is_complete():
 def test_ideal_files_round_trip():
     files = sorted(glob.glob(os.path.join(DATA, "*.ideal")))
     assert files
-    for path in files:
-        I = read_ideal(path)
+    # a generator line may start with a variable named `ring`
+    ring = Ring(["ring", "x"])
+    r, x = ring.gens()
+    named_ring = Ideal(ring, [r + x, r * r - 2 * x])
+    for I in [read_ideal(path) for path in files] + [named_ring]:
         text = serialize_ideal(I)
         J = parse_ideal_text(text)
         assert I.ring == J.ring
@@ -75,6 +78,17 @@ def test_parse_error_carries_line_number():
         with pytest.raises(PolyParseError) as err:
             parse_ideal_text(header + "\nideal:\n1x - x\n")
         assert err.value.line == 1
+    # the header is read as words: 'over' glued to a name is no 'over', and
+    # any run of spaces parts two words
+    with pytest.raises(PolyParseError, match="over QQ") as err:
+        parse_ideal_text("ring x0 x1over QQ\nideal:\nx0\n")
+    assert err.value.line == 1
+    I = parse_ideal_text("ring x0 x1 over  QQ\nideal:\nx0\n")
+    assert I.ring.variables == ("x0", "x1")
+    # a second header before 'ideal:' is refused on its line
+    with pytest.raises(PolyParseError, match="duplicate") as err:
+        parse_ideal_text("ring x over QQ\nring y over QQ\nideal:\nx\n")
+    assert err.value.line == 2
     # more digits than Python's integer-string limit, in a coefficient, a
     # denominator or a power
     long = "1" * (sys.get_int_max_str_digits() + 1)

@@ -1,7 +1,7 @@
 """The package namespace loads a layer on first use.
 
-Each check runs in a fresh interpreter, since this session has long since
-loaded every layer.
+Each check of what is loaded runs in a fresh interpreter, since this
+session has long since loaded every layer.
 """
 
 import json
@@ -9,15 +9,18 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import quadbir
+from quadbir.polyring import DEGREVLEX, Ideal, Ring
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(quadbir.__file__)))
 
 # the public names and the submodule that defines each
 EXPORTS = {
-    "polyring": ["DEGREVLEX", "LEX", "MonomialOrder", "Poly", "Ring"],
+    "polyring": ["DEGREVLEX", "Ideal", "LEX", "MonomialOrder", "Poly", "Ring"],
     "groebner": [
-        "BudgetExceeded", "Ideal", "StepBudget", "buchberger", "eliminate",
+        "BudgetExceeded", "StepBudget", "buchberger", "eliminate",
         "ideal_equal", "ideal_quotient", "membership", "reduce", "saturate",
         "saturate_irrelevant",
     ],
@@ -59,9 +62,46 @@ def test_import_loads_no_layer():
     assert fresh("import quadbir\n" + LOADED) == []
 
 
+def kernel_and(*modules):
+    return sorted(f"quadbir.{m}" for m in ("polyring", "linalg", *modules))
+
+
 def test_varieties_loads_only_the_kernel():
-    loaded = fresh("import quadbir.varieties\n" + LOADED)
-    assert loaded == sorted(f"quadbir.{m}" for m in ("polyring", "linalg", "groebner", "varieties"))
+    assert fresh("import quadbir.varieties\n" + LOADED) == kernel_and("varieties")
+
+
+def test_ideal_io_loads_only_the_kernel():
+    assert fresh("import quadbir.ideal_io\n" + LOADED) == kernel_and("ideal_io")
+
+
+def test_ideal_loads_no_engine():
+    assert fresh("from quadbir import Ideal\n" + LOADED) == kernel_and()
+
+
+def test_the_engine_loads_on_the_first_basis():
+    """`Ideal.groebner` imports `groebner` when it is called, and gives
+    what `groebner.buchberger` gives on the same ideal."""
+    assert fresh(
+        "from quadbir.varieties import rational_normal_curve\n"
+        "I = rational_normal_curve(3)\n"
+        "before = 'quadbir.groebner' in sys.modules\n"
+        "gb = I.groebner()\n"
+        "after = 'quadbir.groebner' in sys.modules\n"
+        "from quadbir.groebner import buchberger\n"
+        "print(json.dumps([before, after, len(gb), gb == buchberger(rational_normal_curve(3))]))"
+    ) == [False, True, 3, True]
+
+
+def test_paranoid_checks_see_a_basis_made_by_the_method(paranoid_stats):
+    """The method reads `groebner.buchberger` when called, so the checked
+    wrapper that conftest.py binds there verifies its bases too."""
+    if os.environ.get("QUADBIR_TEST_PARANOID", "1") == "0":
+        pytest.skip("paranoid checks are off")
+    ring = Ring(["package_u", "package_v", "package_w"])
+    u, v, w = ring.gens()
+    checked = paranoid_stats["gb_checked"]
+    Ideal(ring, [u * u - v * w, u * v - w * w]).groebner(DEGREVLEX)
+    assert paranoid_stats["gb_checked"] == checked + 1
 
 
 def test_every_name_is_its_home_modules_object():
