@@ -97,7 +97,8 @@ def _budget(budget: StepBudget | int | None) -> StepBudget:
 #   field 0          the total degree;
 #   fields 1..n      the exponents (the E part), placed as the order needs;
 #   fields n+1..2n   prefix sums of the E part inside each degrevlex block
-#                    (the O part; lex has none).
+#                    (the O part; lex has none).  Degrevlex is the one-block
+#                    case; block(k) puts the first k variables above the rest.
 #
 # Read from the top, the O part (for lex, the E part) is an order-equivalent
 # form of `MonomialOrder.key()`: degrevlex compares the degree and then the
@@ -134,17 +135,8 @@ class _Packing:
         if order.kind == "lex":
             pos = [n - i for i in range(n)]
             spans = []
-        elif order.kind == "degrevlex":
-            v = order.last
-            perm = list(range(n))
-            if v is not None and v < n:
-                perm = perm[:v] + perm[v + 1 :] + [v]
-            pos = [0] * n
-            for t, i in enumerate(perm):
-                pos[i] = 1 + t
-            spans = [(1, n)]
         else:
-            k = min(order.block, n)
+            k = n if order.kind == "degrevlex" else min(order.block, n)
             pos = [n - k + 1 + i if i < k else 1 + i - k for i in range(n)]
             spans = [(a, length) for a, length in ((1, n - k), (n - k + 1, k)) if length]
         ones = lambda a, length: sum(1 << (w * f) for f in range(a, a + length))
@@ -703,16 +695,17 @@ def _poly_as_variable(f: Poly) -> int | None:
 
 
 def _saturate_by_variable(I: Ideal, var: int, budget: StepBudget) -> Ideal:
-    """(I : x^inf) for homogeneous I (Bayer-Stillman): divide each element of
-    a degrevlex basis that ranks x last by its largest power of x."""
-    gb = buchberger(I, MonomialOrder.degrevlex(last=var), budget)
+    """(I : x^inf) for homogeneous I (Bayer-Stillman): in the ring with x
+    moved to the end, x ranks last in degrevlex, so dividing each element of
+    that degrevlex basis by its largest power of x saturates."""
+    to_end = lambda e: e[:var] + e[var + 1 :] + e[var : var + 1]
+    moved = Ring(to_end(I.ring.variables))
+    gens = [Poly(moved, {to_end(e): c for e, c in g.terms.items()}) for g in I.generators]
     divided = []
-    for g in gb:
-        k = min(e[var] for e in g.terms)
-        if k:
-            terms = {e[:var] + (e[var] - k,) + e[var + 1 :]: c for e, c in g.terms.items()}
-            g = Poly(I.ring, terms)
-        divided.append(g)
+    for g in buchberger(Ideal(moved, gens), DEGREVLEX, budget):
+        k = min(e[-1] for e in g.terms)
+        terms = {e[:var] + (e[-1] - k,) + e[var:-1]: c for e, c in g.terms.items()}
+        divided.append(Poly(I.ring, terms))
     return Ideal(I.ring, divided)
 
 

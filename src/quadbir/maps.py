@@ -173,6 +173,8 @@ def minor_ideal(I: Ideal, codim: int, cap: int = 4000) -> Ideal:
     """I plus the `hilbert._span_basis` of the codim x codim Jacobian minors
     of its generators, which stream into it and are never held together;
     the same ideal as I plus all those minors."""
+    if codim < 1:
+        raise ValueError("need codim >= 1")
     ring = I.ring
     count = comb(len(I.generators), codim) * comb(ring.nvars, codim)
     if count > cap:

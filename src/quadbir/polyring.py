@@ -66,39 +66,34 @@ def mono_deg(a: Exponent) -> int:
 
 
 class MonomialOrder:
-    """Total multiplicative monomial order: lex, degrevlex, or block(k).
+    """Total multiplicative monomial order of three kinds: lex, degrevlex, block(k).
 
     block(k) is the elimination order for the first k variables: any
     monomial involving one of them beats any monomial that does not, with
     degrevlex ties inside each block.
 
-    degrevlex(last=v) is the variable-last form: degrevlex with variable v
-    ranked last, i.e. the plain degrevlex of the exponent vector with entry
-    v moved to the end.  Its key is exactly that permuted `_drl_key`, so a
-    computation under it matches, step for step, the same computation in a
-    ring whose variables were permuted to put v last.
+    Degrevlex ranks the last variable of the ring lowest; a computation
+    that needs another variable there (saturation by it) runs in a ring
+    with that variable moved to the end.
     """
 
-    __slots__ = ("kind", "block", "last")
+    __slots__ = ("kind", "block")
 
-    def __init__(self, kind: str, block: int = 0, last: int | None = None):
+    def __init__(self, kind: str, block: int = 0):
         if kind not in ("lex", "degrevlex", "block"):
             raise ValueError(f"unknown monomial order {kind!r}")
         if kind == "block" and block <= 0:
             raise ValueError("block order needs a positive block size")
-        if last is not None and (kind != "degrevlex" or last < 0):
-            raise ValueError("only degrevlex takes a last variable")
         self.kind = kind
         self.block = block if kind == "block" else 0
-        self.last = last
 
     @staticmethod
     def lex() -> "MonomialOrder":
         return MonomialOrder("lex")
 
     @staticmethod
-    def degrevlex(last: int | None = None) -> "MonomialOrder":
-        return MonomialOrder("degrevlex", last=last)
+    def degrevlex() -> "MonomialOrder":
+        return MonomialOrder("degrevlex")
 
     @staticmethod
     def elimination(k: int) -> "MonomialOrder":
@@ -109,10 +104,7 @@ class MonomialOrder:
         if self.kind == "lex":
             return lambda e: e
         if self.kind == "degrevlex":
-            v = self.last
-            if v is None:
-                return _drl_key
-            return lambda e: _drl_key(e[:v] + e[v + 1 :] + e[v : v + 1])
+            return _drl_key
         k = self.block
         return lambda e: (_drl_key(e[:k]), _drl_key(e[k:]))
 
@@ -123,8 +115,6 @@ class MonomialOrder:
     def __repr__(self):
         if self.kind == "block":
             return f"MonomialOrder(block={self.block})"
-        if self.last is not None:
-            return f"MonomialOrder({self.kind}, last={self.last})"
         return f"MonomialOrder({self.kind})"
 
     def __eq__(self, other):
@@ -132,11 +122,10 @@ class MonomialOrder:
             isinstance(other, MonomialOrder)
             and self.kind == other.kind
             and self.block == other.block
-            and self.last == other.last
         )
 
     def __hash__(self):
-        return hash((self.kind, self.block, self.last))
+        return hash((self.kind, self.block))
 
 
 def _drl_key(e: Exponent) -> tuple:

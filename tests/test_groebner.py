@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -33,7 +34,7 @@ from quadbir.groebner import (
 from quadbir.hilbert import hilbert_data, hilbert_series_numerator
 from quadbir.ideal_io import read_ideal
 from quadbir.maps import RationalMap, image_ideal, map_from_ideal
-from quadbir.polyring import DEGREVLEX, LEX, MonomialOrder, Poly, Ring, _drl_key
+from quadbir.polyring import DEGREVLEX, LEX, MonomialOrder, Poly, Ring
 from quadbir.varieties import elliptic_quintic_pfaffian, rational_normal_curve
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "quadbir", "data", "ideals")
@@ -302,16 +303,39 @@ def test_irrelevant_saturation_intersects_variable_saturations(name):
     assert hilbert_data(S).hp == hilbert_data(I).hp
 
 
-def test_variable_last_key_is_permuted_degrevlex_key():
-    n = 4
-    monomials = [
-        e for e in itertools.product(range(4), repeat=n) if sum(e) <= 3
-    ]
-    for v in range(n):
-        perm = [i for i in range(n) if i != v] + [v]
-        key = MonomialOrder.degrevlex(last=v).key()
-        for e in monomials:
-            assert key(e) == _drl_key(tuple(e[i] for i in perm))
+def test_saturation_steps_and_bases_are_pinned():
+    # saturation by a variable runs one degrevlex basis in the ring with that
+    # variable moved to the end; its step counts and its generators, in
+    # order, are pinned, and so are those of the irrelevant saturation; the
+    # zero ideal stays zero
+    by_variable = {
+        "embedded_point": [4, 4, 6],
+        "plane_and_line": [3, 3, 3],
+        "twisted_cubic": [7, 7, 7, 7],
+        "twisted_cubic_times_m": [54, 52, 52, 54],
+    }
+    digest = hashlib.sha256()
+    for name, I in sorted(_saturation_cases().items()):
+        for x, steps in zip(I.ring.gens(), by_variable[name], strict=True):
+            budget = StepBudget()
+            S = saturate(I, x, budget)
+            assert budget.used == steps, (name, x)
+            digest.update(f"{name}\t{[str(g) for g in S.generators]}\n".encode())
+    assert digest.hexdigest() == (
+        "373c18381658262c2078632ead045da06e96fd67e3f271b50ba2c6d90ed853ec"
+    )
+    irrelevant = {
+        "embedded_point": (67, ["x*y^2 - y*z^2", "x^2*y", "x*y*z^2", "y*z^4"]),
+        "m_squared": (94, ["1", "z", "y", "z^2", "y*z", "y^2"]),
+        "three_points": (71, ["y*z", "x*z", "x*y"]),
+        "three_points_times_m": (182, ["y*z", "x*z", "x*y"]),
+    }
+    for name, (I, _) in sorted(_intersection_branch_cases().items()):
+        budget = StepBudget()
+        S = saturate_irrelevant(I, budget)
+        assert (budget.used, [str(g) for g in S.generators]) == irrelevant[name], name
+    P2 = Ring(["x", "y", "z"])
+    assert all(saturate(Ideal(P2, []), x).is_zero() for x in P2.gens())
 
 
 def test_integer_division_matches_fraction_division_up_to_scalar():
@@ -472,25 +496,20 @@ def _primitive_set(polys, key):
 
 
 
-def _sympy_order(kind, n, rng, xs):
-    """Our order for one seeded case, the sympy order it must agree with,
-    and the sympy generators in that order's variable sequence."""
+def _sympy_order(kind, n, rng):
+    """Our order for one seeded case and the sympy order it must agree with."""
     from sympy.polys.orderings import ProductOrder, grevlex
 
     if kind == "lex":
-        return LEX, "lex", xs
+        return LEX, "lex"
     if kind == "grevlex":
-        return DEGREVLEX, "grevlex", xs
-    if kind == "elimination":
-        k = rng.randint(1, n - 1)
-        block = ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
-        return MonomialOrder.elimination(k), block, xs
-    # degrevlex with variable v ranked last is grevlex with v moved to the end
-    v = rng.randrange(n)
-    return MonomialOrder.degrevlex(last=v), "grevlex", xs[:v] + xs[v + 1 :] + xs[v : v + 1]
+        return DEGREVLEX, "grevlex"
+    k = rng.randint(1, n - 1)
+    block = ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+    return MonomialOrder.elimination(k), block
 
 
-@pytest.mark.parametrize("kind", ["lex", "grevlex", "elimination", "grevlex_last"])
+@pytest.mark.parametrize("kind", ["lex", "grevlex", "elimination"])
 def test_buchberger_matches_sympy_groebner(kind):
     sympy = pytest.importorskip("sympy")
     for seed in range(30):
@@ -504,27 +523,34 @@ def test_buchberger_matches_sympy_groebner(kind):
             terms = rng.sample(monos, rng.randint(1, min(4, len(monos))))
             gens.append(Poly(ring, {e: Fraction(rng.choice((-3, -2, -1, 1, 2, 5))) for e in terms}))
         xs = sympy.symbols(ring.variables)
-        order, sympy_order, sympy_gens = _sympy_order(kind, n, rng, list(xs))
+        order, sympy_order = _sympy_order(kind, n, rng)
         key = order.key()
         exprs = [
             sum(int(c) * sympy.prod(x**k for x, k in zip(xs, e)) for e, c in g.terms.items())
             for g in gens
         ]
-        ref = sympy.groebner(exprs, *sympy_gens, order=sympy_order, domain="QQ")
+        ref = sympy.groebner(exprs, *xs, order=sympy_order, domain="QQ")
         expected = _primitive_set((dict(p.as_poly(*xs).terms()) for p in ref.exprs), key)
         got = _primitive_set((g.terms for g in buchberger(gens, order)), key)
         assert got == expected, seed
 
 
 def _packing_orders(n):
-    """lex, degrevlex, each variable-last degrevlex and each elimination
-    order on n variables: every packed layout."""
+    """lex, degrevlex and each elimination order on n variables, block(n)
+    included: every packed layout."""
     yield LEX
     yield DEGREVLEX
-    for v in range(n):
-        yield MonomialOrder.degrevlex(last=v)
-    for k in range(1, n):
+    for k in range(1, n + 1):
         yield MonomialOrder.elimination(k)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_degrevlex_packs_as_the_one_block_order(n):
+    for bits in (3, 8):
+        drl = _Packing(DEGREVLEX, n, bits)
+        one_block = _Packing(MonomialOrder.elimination(n), n, bits)
+        for field in ("shifts", "guard", "blocks", "width"):
+            assert getattr(drl, field) == getattr(one_block, field), (field, bits)
 
 
 def _seeded_monomials(rng, n, fmax, count):

@@ -139,6 +139,15 @@ def test_singular_locus_of_smooth_quadric():
     assert contains_one(sing)
 
 
+@pytest.mark.parametrize("codim", [0, -1])
+def test_minors_refuse_a_codim_below_one(codim):
+    ring = Ring(["y0", "y1", "y2", "y3"])
+    I = Ideal(ring, [ring.parse("y0*y3 - y1*y2")])
+    for entry in (minor_ideal, singular_locus):
+        with pytest.raises(ValueError, match="need codim >= 1"):
+            entry(I, codim)
+
+
 def test_unsaturated_minor_ideal_gives_the_singular_hilbert_polynomial():
     # the quartic fourfold image is singular along a line with embedded
     # structure: its Jacobian-minor ideal and that ideal's saturation both

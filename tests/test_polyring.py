@@ -194,13 +194,14 @@ def test_operands_must_be_exact(xy):
 
 
 def test_monomial_order_laws():
-    # total, multiplicative, with 1 minimal, for all three order kinds
+    # total, multiplicative, with 1 minimal, for all three order kinds and
+    # for the one-block order of all four variables
     import itertools
 
     rng = random.Random(23)
     monos = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(30)]
     monos.append((0, 0, 0, 0))
-    for order in (LEX, DEGREVLEX, MonomialOrder.elimination(2)):
+    for order in (LEX, DEGREVLEX, MonomialOrder.elimination(2), MonomialOrder.elimination(4)):
         key = order.key()
         one = (0, 0, 0, 0)
         for a, b in itertools.combinations(monos, 2):
