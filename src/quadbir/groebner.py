@@ -96,6 +96,9 @@ def _budget(budget: StepBudget | int | None) -> StepBudget:
 #
 #   field 0          the total degree;
 #   fields 1..n      the exponents (the E part), placed as the order needs;
+#                    `shifts` alone says which variable sits where, so the
+#                    saturation by a variable permutes it to rank that
+#                    variable last;
 #   fields n+1..2n   prefix sums of the E part inside each degrevlex block
 #                    (the O part; lex has none).  Degrevlex is the one-block
 #                    case; block(k) puts the first k variables above the rest.
@@ -549,6 +552,8 @@ def buchberger(
         if not gens:
             raise ValueError("need at least one nonzero generator")
         ring = gens[0].ring
+        if any(g.ring != ring for g in gens):
+            raise ValueError("generators in different rings")
     if not gens:
         return ()
     b = _budget(budget)
@@ -558,17 +563,21 @@ def buchberger(
 
         drl = buchberger(gens, DEGREVLEX, b)
         hilbert = hilbert_series_numerator([g.lead_monomial(DEGREVLEX) for g in drl], ring.nvars)
-    keyf = order.key()
-    # stable sort by leading key; each input is packed only when the loop
-    # reaches it, so no second copy of the inputs exists
-    ordered = sorted(gens, key=lambda g: keyf(max(g.terms, key=keyf)))
-
-    def run(P: _Packing) -> list[dict]:
-        G = _buchberger_entries((_to_int_terms(g, P) for g in ordered), P, b, hilbert)
-        return _reduced_basis(G, P, b)
-
+    run = lambda P: _kernel_basis(gens, P, b, hilbert)
     reduced = _widening(order, ring.nvars, max(g.degree() for g in gens), b, run)
     return tuple(Poly(ring, {e: Fraction(v) for e, v in t.items()}) for t in reduced)
+
+
+def _kernel_basis(
+    gens: Sequence[Poly], P: _Packing, budget: StepBudget, hilbert: Sequence[int] | None = None
+) -> list[dict]:
+    """The reduced basis of nonzero gens in the order P packs, as
+    `_reduced_basis` gives it.  The inputs are sorted stably by packed
+    leading monomial, which is the order, and each is packed again only
+    when the loop reaches it, so no second copy of the inputs exists."""
+    ordered = sorted(gens, key=lambda g: max(map(P.pack, g.terms)))
+    G = _buchberger_entries((_to_int_terms(g, P) for g in ordered), P, budget, hilbert)
+    return _reduced_basis(G, P, budget)
 
 
 def membership(
@@ -679,6 +688,8 @@ def saturate(
     I: Ideal, f: Poly, budget: StepBudget | int | None = None
 ) -> Ideal:
     """(I : f^inf) for a variable f and a homogeneous ideal I."""
+    if f.ring != I.ring:
+        raise ValueError("saturating variable of a different ring")
     fvar = _poly_as_variable(f)
     if fvar is None or not I.is_homogeneous():
         raise ValueError("saturation needs a variable and a homogeneous ideal")
@@ -694,17 +705,31 @@ def _poly_as_variable(f: Poly) -> int | None:
     return e.index(1)
 
 
+def _last_variable_basis(I: Ideal, var: int, budget: StepBudget) -> list[dict]:
+    """The reduced basis of I, as `_reduced_basis` gives it, in degrevlex
+    with x_var ranked last: the order of the ring with x_var moved to the
+    end.  The packing places x_var's field where degrevlex places the last
+    variable's, so the kernel packs I's own generators and unpacks to
+    exponents of I.ring."""
+    if I.is_zero():
+        return []
+
+    def run(P: _Packing) -> list[dict]:
+        s = P.shifts
+        P.shifts = s[:var] + s[-1:] + s[var:-1]
+        return _kernel_basis(I.generators, P, budget)
+
+    return _widening(DEGREVLEX, I.ring.nvars, max(g.degree() for g in I.generators), budget, run)
+
+
 def _saturate_by_variable(I: Ideal, var: int, budget: StepBudget) -> Ideal:
-    """(I : x^inf) for homogeneous I (Bayer-Stillman): in the ring with x
-    moved to the end, x ranks last in degrevlex, so dividing each element of
-    that degrevlex basis by its largest power of x saturates."""
-    to_end = lambda e: e[:var] + e[var + 1 :] + e[var : var + 1]
-    moved = Ring(to_end(I.ring.variables))
-    gens = [Poly(moved, {to_end(e): c for e, c in g.terms.items()}) for g in I.generators]
+    """(I : x^inf) for homogeneous I (Bayer-Stillman): x ranks last in the
+    order of `_last_variable_basis`, so dividing each element of that basis
+    by its largest power of x saturates."""
     divided = []
-    for g in buchberger(Ideal(moved, gens), DEGREVLEX, budget):
-        k = min(e[-1] for e in g.terms)
-        terms = {e[:var] + (e[-1] - k,) + e[var:-1]: c for e, c in g.terms.items()}
+    for t in _last_variable_basis(I, var, budget):
+        k = min(e[var] for e in t)
+        terms = {e[:var] + (e[var] - k,) + e[var + 1 :]: Fraction(v) for e, v in t.items()}
         divided.append(Poly(I.ring, terms))
     return Ideal(I.ring, divided)
 

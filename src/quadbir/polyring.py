@@ -72,9 +72,10 @@ class MonomialOrder:
     monomial involving one of them beats any monomial that does not, with
     degrevlex ties inside each block.
 
-    Degrevlex ranks the last variable of the ring lowest; a computation
-    that needs another variable there (saturation by it) runs in a ring
-    with that variable moved to the end.
+    Degrevlex ranks the last variable of the ring lowest.  Saturation by
+    another variable needs that variable there; the Groebner kernel gets
+    it by placing the variable's packed field where degrevlex places the
+    last one's, with no second ring or copy of the generators.
     """
 
     __slots__ = ("kind", "block")

@@ -12,7 +12,10 @@ arithmetic, no tolerances.  Set QUADBIR_TEST_PARANOID=0 to disable.
   counts out to the regularity witness plus three.
 
 A basis returned again for the same generators and order is the same
-pure function of them, so it is verified once per session.
+pure function of them, so it is verified once per session.  The
+saturation's degrevlex basis with a variable ranked last is checked as the
+plain degrevlex basis of its generators in the ring with that variable
+moved to the end.
 
 The terminal summary prints how many checks of each kind the session made.
 """
@@ -20,6 +23,7 @@ The terminal summary prints how many checks of each kind the session made.
 import os
 import pkgutil
 import sys
+from fractions import Fraction
 from importlib import import_module
 from itertools import compress, repeat
 from operator import add, eq, or_, sub
@@ -31,9 +35,10 @@ import quadbir.groebner as groebner
 import quadbir.hilbert as hilbert
 from quadbir.groebner import Ideal, StepBudget, _Entry, _reduce_int, _to_int_terms, _widening, reduce
 from quadbir.hilbert import standard_monomial_count
-from quadbir.polyring import DEGREVLEX, Poly, mono_deg, mono_divides, mono_lcm
+from quadbir.polyring import DEGREVLEX, Poly, Ring, mono_deg, mono_divides, mono_lcm
 
 _orig_buchberger = groebner.buchberger
+_orig_last_variable_basis = groebner._last_variable_basis
 _orig_hilbert_data = hilbert.hilbert_data
 
 _stats = {
@@ -199,16 +204,42 @@ def verify_hilbert(I, order, hd) -> None:
     _stats["hilbert_checked"] += 1
 
 
-def _checked_buchberger(ideal, order=DEGREVLEX, budget=None):
-    gb = _orig_buchberger(ideal, order, budget)
-    gens = ideal.generators if isinstance(ideal, Ideal) else tuple(g for g in ideal if g)
+def moved_basis(I, var, basis):
+    """I's generators and a `groebner._last_variable_basis` result as
+    `Poly`s of the ring with variable var moved to the end, where that
+    basis is the plain degrevlex one."""
+    to_end = lambda e: e[:var] + e[var + 1 :] + e[var : var + 1]
+    moved = Ring(to_end(I.ring.variables))
+    move = lambda terms: Poly(moved, {to_end(e): Fraction(c) for e, c in terms.items()})
+    return tuple(move(g.terms) for g in I.generators), tuple(move(t) for t in basis)
+
+
+def verify_last_variable_basis(I, var, basis) -> int:
+    """`verify_basis` for a `groebner._last_variable_basis` result."""
+    gens, gb = moved_basis(I, var, basis)
+    return verify_basis(gens, DEGREVLEX, gb)
+
+
+def _check_once(order, gens, gb) -> None:
     seen = (order, gens, gb)
     if seen in _verified:
         _stats["gb_repeats"] += 1
     else:
-        verify_basis(ideal, order, gb)
+        verify_basis(gens, order, gb)
         _verified.add(seen)
+
+
+def _checked_buchberger(ideal, order=DEGREVLEX, budget=None):
+    gb = _orig_buchberger(ideal, order, budget)
+    gens = ideal.generators if isinstance(ideal, Ideal) else tuple(g for g in ideal if g)
+    _check_once(order, gens, gb)
     return gb
+
+
+def _checked_last_variable_basis(I, var, budget):
+    basis = _orig_last_variable_basis(I, var, budget)
+    _check_once(DEGREVLEX, *moved_basis(I, var, basis))
+    return basis
 
 
 def _checked_hilbert_data(I, order=DEGREVLEX, budget=None):
@@ -230,6 +261,7 @@ def paranoid_mode():
     # rebind every module-level name bound to an original, so that calls
     # through a name a module imported itself are checked too
     wrappers = ((_orig_buchberger, _checked_buchberger),
+                (_orig_last_variable_basis, _checked_last_variable_basis),
                 (_orig_hilbert_data, _checked_hilbert_data))
     this = sys.modules[__name__]
     undo = []

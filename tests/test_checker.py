@@ -7,10 +7,10 @@ import itertools
 import random
 
 import pytest
-from conftest import pairs_to_check, verify_basis
+from conftest import pairs_to_check, verify_basis, verify_last_variable_basis
 
-from quadbir.groebner import buchberger, reduce
-from quadbir.polyring import DEGREVLEX, LEX, Poly, Ring, mono_divides, mono_lcm
+from quadbir.groebner import StepBudget, _last_variable_basis, buchberger, reduce
+from quadbir.polyring import DEGREVLEX, LEX, Ideal, Poly, Ring, mono_divides, mono_lcm
 from quadbir.varieties import elliptic_quintic_pfaffian, rational_normal_curve
 
 IDEALS = {
@@ -53,6 +53,36 @@ def test_changing_a_tail_coefficient_is_rejected(name, order):
         terms[tail[0]] *= 2
         with pytest.raises(AssertionError):
             verify_basis(I, order, gb[:k] + [Poly(g.ring, terms)] + gb[k + 1 :])
+
+
+def _times_m(I):
+    return Ideal(I.ring, [g * v for g in I.generators for v in I.ring.gens()])
+
+
+SATURATIONS = {
+    "twisted_cubic_times_m": lambda: _times_m(rational_normal_curve(3)),
+    "elliptic_quintic": elliptic_quintic_pfaffian,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATIONS))
+def test_saturation_basis_mutations_are_rejected(name):
+    # the saturation's basis, with x0 ranked last, is checked in the ring
+    # with x0 moved to the end: dropping an element or changing a tail
+    # coefficient must fail that check, as it does for a plain basis
+    I, var = SATURATIONS[name](), 0
+    basis = _last_variable_basis(I, var, StepBudget())
+    verify_last_variable_basis(I, var, basis)
+    to_end = lambda e: e[:var] + e[var + 1 :] + e[var : var + 1]
+    lead = lambda t: max(t, key=lambda e: DEGREVLEX.key()(to_end(e)))
+    for k, t in enumerate(basis):
+        with pytest.raises(AssertionError):
+            verify_last_variable_basis(I, var, basis[:k] + basis[k + 1 :])
+        tail = [e for e in t if e != lead(t)]
+        if tail:
+            changed = {**t, tail[0]: 2 * t[tail[0]]}
+            with pytest.raises(AssertionError):
+                verify_last_variable_basis(I, var, basis[:k] + [changed] + basis[k + 1 :])
 
 
 def test_non_basis_with_one_kept_pair_is_rejected():

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import moved_basis
 
+import quadbir.groebner as groebner
 from quadbir.groebner import (
     BudgetExceeded,
     HilbertMismatch,
@@ -125,6 +127,26 @@ def test_membership_across_rings_raises():
     B = Ring(["x", "y", "z"])
     with pytest.raises(ValueError, match="different rings"):
         membership(A.var("x"), Ideal(B, [B.var("z")]))
+
+
+def test_buchberger_refuses_generators_of_different_rings():
+    # the packing is sized from the first generator's ring, so a longer
+    # exponent vector would lose its last entries (x*z read as x)
+    R = Ring(["x", "y"])
+    S = Ring(["x", "y", "z"])
+    with pytest.raises(ValueError, match="generators in different rings"):
+        buchberger([R.parse("x^2 - y^2"), S.parse("x*z - y^2")])
+
+
+def test_saturation_refuses_a_variable_of_another_ring():
+    # S's x sits where R has z; read by its index it would saturate by z
+    R = Ring(["x", "y", "z"])
+    S = Ring(["z", "y", "x"])
+    I = Ideal(R, [R.parse("x*z"), R.parse("x^2")])
+    with pytest.raises(ValueError, match="different ring"):
+        saturate(I, S.var("x"))
+    assert contains_one(saturate(I, R.var("x")))
+    assert ideal_equal(saturate(I, R.var("z")), Ideal(R, [R.var("x")]))
 
 
 def test_eliminate_linear():
@@ -304,10 +326,10 @@ def test_irrelevant_saturation_intersects_variable_saturations(name):
 
 
 def test_saturation_steps_and_bases_are_pinned():
-    # saturation by a variable runs one degrevlex basis in the ring with that
-    # variable moved to the end; its step counts and its generators, in
-    # order, are pinned, and so are those of the irrelevant saturation; the
-    # zero ideal stays zero
+    # saturation by a variable runs one degrevlex basis with that variable
+    # ranked last; its step counts and its generators, in order, are
+    # pinned, and so are those of the irrelevant saturation; the zero ideal
+    # stays zero
     by_variable = {
         "embedded_point": [4, 4, 6],
         "plane_and_line": [3, 3, 3],
@@ -336,6 +358,60 @@ def test_saturation_steps_and_bases_are_pinned():
         assert (budget.used, [str(g) for g in S.generators]) == irrelevant[name], name
     P2 = Ring(["x", "y", "z"])
     assert all(saturate(Ideal(P2, []), x).is_zero() for x in P2.gens())
+
+
+class _Captured(Exception):
+    """Raised by the stand-in kernel below with the inputs it was handed."""
+
+
+def _capture_kernel_inputs(polys, P, budget, hilbert=None):
+    raise _Captured([list(t.items()) for t in polys], P.bits)
+
+
+def _random_homogeneous_ideal(rng):
+    ring = Ring([f"x{i}" for i in range(rng.randint(2, 5))])
+    n = ring.nvars
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        d = rng.randint(1, 3)
+        monos = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+        picked = rng.sample(monos, rng.randint(1, min(4, len(monos))))
+        coefficient = lambda: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+        gens.append(Poly(ring, {e: coefficient() for e in picked}))
+    return Ideal(ring, gens)
+
+
+def test_saturation_packs_the_moved_inputs(monkeypatch):
+    # saturation by x packs I's own generators so that the kernel receives
+    # exactly the packed ints, in exactly the order, that degrevlex gives
+    # the generators moved to a ring with x last, sorted by leading key
+    monkeypatch.setattr(groebner, "_buchberger_entries", _capture_kernel_inputs)
+    for seed in range(40):
+        I = _random_homogeneous_ideal(random.Random(seed))
+        n = I.ring.nvars
+        for var, x in enumerate(I.ring.gens()):
+            with pytest.raises(_Captured) as got:
+                saturate(I, x)
+            inputs, bits = got.value.args
+            assert bits == max(8, 4 * max(g.degree() for g in I.generators)).bit_length()
+            gens, _ = moved_basis(I, var, [])
+            gens = sorted(gens, key=lambda g: DEGREVLEX.key()(g.lead_monomial(DEGREVLEX)))
+            P = _Packing(DEGREVLEX, n, bits)
+            assert inputs == [list(_to_int_terms(g, P).items()) for g in gens], (seed, var)
+
+
+def test_saturation_builds_no_ring(monkeypatch):
+    # the moved order is a packing of I's own terms, not a copy of I in a
+    # second ring: with `Ring` unusable inside groebner every saturation
+    # still runs, and strips the irrelevant factor from the twisted cubic
+    def refuse(*args):
+        raise AssertionError("saturation built a Ring")
+
+    monkeypatch.setattr(groebner, "Ring", refuse)
+    cases = _saturation_cases()
+    I = cases["twisted_cubic_times_m"]
+    for x in I.ring.gens():
+        assert ideal_equal(saturate(I, x), cases["twisted_cubic"])
 
 
 def test_integer_division_matches_fraction_division_up_to_scalar():
